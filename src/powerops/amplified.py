@@ -9,16 +9,28 @@ The free amplified ring on one generator x is a polynomial ring over
 R = Z[a] on the generator set {theta^j Q_{k1}...Q_{kr} x : k_i in {1,2}},
 truncated here to a finite window (j bounded by theta_depth, r by
 word_depth).  Q0 never appears inside a generator name; it is always
-rewritten through the witness equation.  theta is computed by structural
-recursion from
+rewritten through the witness equation.  theta is computed in one pass
+over the terms of its argument.  Each term is u = c m, with c in R its
+whole coefficient and m a monomial, and the sum is a left fold by
 
-    theta(s + t)  = theta s + theta t - s t
-    theta(a s)    = a^2 theta s - a Q1 s + 3 Q2 s
+    theta(S + u)  = theta S + theta u - S u.
+
+A term takes the product rule
+
     theta(s t)    = s^2 theta t + t^2 theta s + 2 theta s theta t
                     + Q1 s Q2 t + Q2 s Q1 t
-    theta(n)      = (n - n^2) / 2          for integers n
 
-and Q1, Q2 move through theta by
+with s = c and t = m.  theta m and the triple (Q0 m, Q1 m, Q2 m) are
+memoized per ring; they peel one generator off m at a time, by the same
+rule with s the generator and t the rest.  theta of a scalar folds its
+terms n a^k the same way, with theta(n) = (n - n^2) / 2 for integers and
+theta(a^k) from a table shared by every ring and filled upward by
+
+    theta(a s)    = a^2 theta s - a Q1 s + 3 Q2 s.
+
+Q0 of the argument is never formed, so the identity 2 theta p = Q0 p - p^2
+remains an independent check of the engine.  Q1 and Q2 move through theta
+by
 
     Q1 theta s = Q2 Q1 s - Q0 Q2 s - Q0 s Q1 s - a Q1 s Q2 s - (Q2 s)^2
     Q2 theta s = theta Q1 s + a theta Q2 s - Q1 Q2 s - Q0 s Q2 s.
@@ -32,7 +44,8 @@ free window ring embeds into it generator by generator.
 from __future__ import annotations
 
 from .poly import Poly, ZERO, ONE, A
-from .opalgebra import Operation, push_poly, psi, basis_of_degree
+from .opalgebra import (Operation, push_poly, push_through, psi,
+                        basis_of_degree, _merge)
 from .opmodules import standard_module, act
 
 __all__ = ["WindowOverflowError", "AmplifiedRing", "AmplifiedPoly",
@@ -45,6 +58,51 @@ class WindowOverflowError(ValueError):
 
 def _sorted_mono(pairs):
     return tuple(sorted((g, e) for g, e in pairs if e))
+
+
+def _mono_mul(m1, m2):
+    """Product of two monomials."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged = dict(m1)
+    for g, e in m2:
+        merged[g] = merged.get(g, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _trusted(ring, terms):
+    """An AmplifiedPoly on terms, which must map monomials to nonzero Poly
+    coefficients; it is taken over, not copied."""
+    p = object.__new__(AmplifiedPoly)
+    p.ring = ring
+    p.terms = terms
+    return p
+
+
+# theta(a^k) for k < len(_THETA_A_POWERS), shared by every ring.
+_THETA_A_POWERS = [ZERO]
+
+
+def _theta_scalar(c: Poly) -> Poly:
+    """theta of a scalar c in R, folded over its terms n a^k."""
+    table = _THETA_A_POWERS
+    while len(table) < len(c.coeffs):
+        # theta(a s) = a^2 theta s - a Q1 s + 3 Q2 s, with s = a^k
+        k = len(table) - 1
+        table.append(table[k].shift(2) - push_through(1, k)[0].shift(1)
+                     + 3 * push_through(2, k)[0])
+    out, done = ZERO, ZERO  # theta of the terms so far, and their sum
+    for k, n in enumerate(c.coeffs):
+        if not n:
+            continue
+        # theta(n s) = n^2 theta s + theta(n) s^2 + 2 theta(n) theta s,
+        # where theta(n) = (n - n^2) / 2, so n^2 + 2 theta(n) = n
+        theta_u = n * table[k] + Poly((n - n * n) // 2).shift(2 * k)
+        out = out + theta_u - (done * n).shift(k)
+        done = done + Poly(n).shift(k)
+    return out
 
 
 class AmplifiedPoly:
@@ -61,8 +119,9 @@ class AmplifiedPoly:
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = Poly(c)
-                if not c.is_zero():
+                if not isinstance(c, Poly):
+                    c = Poly(c)
+                if c.coeffs:
                     clean[mono] = c
         self.terms = clean
 
@@ -77,6 +136,9 @@ class AmplifiedPoly:
         return NotImplemented
 
     def __hash__(self):
+        # A constant equals its coefficient, so it hashes as that.
+        if not self.terms or (len(self.terms) == 1 and () in self.terms):
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def _coerce(self, other):
@@ -90,20 +152,14 @@ class AmplifiedPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            new = out.get(mono, ZERO) + c
-            if new.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-        return AmplifiedPoly(self.ring, out)
+        if not other.terms:
+            return self
+        return _trusted(self.ring, _merge(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AmplifiedPoly(self.ring,
-                             {m: -c for m, c in self.terms.items()})
+        return _trusted(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -115,24 +171,26 @@ class AmplifiedPoly:
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Poly)):
+            if not other:
+                return self.ring.zero()
+            return _trusted(self.ring,
+                            {m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, AmplifiedPoly):
             return NotImplemented
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                merged = {}
-                for g, e in m1:
-                    merged[g] = merged.get(g, 0) + e
-                for g, e in m2:
-                    merged[g] = merged.get(g, 0) + e
-                mono = _sorted_mono(merged.items())
-                new = out.get(mono, ZERO) + c1 * c2
-                if new.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = new
-        return AmplifiedPoly(self.ring, out)
+                mono = _mono_mul(m1, m2)
+                c = c1 * c2
+                cur = out.get(mono)
+                if cur is not None:
+                    c = cur + c
+                    if not c.coeffs:
+                        del out[mono]
+                        continue
+                out[mono] = c
+        return _trusted(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -301,20 +359,15 @@ class AmplifiedRing:
 
     def q(self, i: int, p: AmplifiedPoly) -> AmplifiedPoly:
         """Q_i applied to a window polynomial."""
-        out = self.zero()
+        out = {}
         for mono, c in p.terms.items():
             trip = self._q_mono(mono)
-            pushed = push_poly(i, c)
-            for l in range(3):
-                if not pushed[l].is_zero():
-                    out = out + pushed[l] * trip[l]
-        return out
+            for l, pushed in enumerate(push_poly(i, c)):
+                if pushed.coeffs:
+                    _merge(out, trip[l].terms, pushed)
+        return _trusted(self, out)
 
     # -- theta -------------------------------------------------------------
-
-    @staticmethod
-    def _theta_int(n: int) -> int:
-        return (n - n * n) // 2
 
     def _theta_gen(self, g):
         return self.gen(g[0] + 1, g[1])
@@ -341,44 +394,25 @@ class AmplifiedRing:
         self._theta_mono_memo[mono] = result
         return result
 
-    def _theta_piece(self, n: int, k: int, mono):
-        """theta of the single term n * a^k * mono."""
-        if k > 0:
-            inner = self._theta_piece(n, k - 1, mono)
-            py = AmplifiedPoly(self, {mono: Poly(n).shift(k - 1)})
-            return (A * A * inner - A * self.q(1, py)
-                    + Poly(3) * self.q(2, py))
-        if n == 1:
-            return self._theta_mono(mono)
-        tn = self._theta_int(n)
-        y = AmplifiedPoly(self, {mono: ONE})
-        ty = self._theta_mono(mono)
-        return n * n * ty + tn * y * y + 2 * tn * ty
-
     def theta(self, p: AmplifiedPoly) -> AmplifiedPoly:
-        """theta applied to a window polynomial, by structural recursion."""
-        pieces = []
+        """theta applied to a window polynomial, one pass per term."""
+        out, done = {}, {}  # theta of the terms so far, and their sum
         for mono, c in p.sorted_terms():
-            for k, n in enumerate(c.coeffs):
-                if n:
-                    pieces.append((n, k, mono))
-        return self._theta_pieces(pieces)
-
-    def _theta_pieces(self, pieces):
-        if not pieces:
-            return self.zero()
-        n, k, mono = pieces[0]
-        rest = pieces[1:]
-        head_theta = self._theta_piece(n, k, mono)
-        if not rest:
-            return head_theta
-        head_poly = AmplifiedPoly(self, {mono: Poly(n).shift(k)})
-        rest_poly = AmplifiedPoly(self, {})
-        for n2, k2, m2 in rest:
-            rest_poly = rest_poly + AmplifiedPoly(self,
-                                                  {m2: Poly(n2).shift(k2)})
-        return (head_theta + self._theta_pieces(rest)
-                - head_poly * rest_poly)
+            # theta(c m) = c^2 theta m + theta(c) m^2 + 2 theta(c) theta m
+            #              + Q1(c) Q2 m + Q2(c) Q1 m
+            theta_m = self._theta_mono(mono).terms
+            theta_c = _theta_scalar(c)
+            _merge(out, theta_m, c * c + 2 * theta_c)
+            if theta_c:
+                _merge(out, {_mono_mul(mono, mono): theta_c})
+            if c.degree() > 0:
+                q_m = self._q_mono(mono)
+                _merge(out, q_m[2].terms, push_poly(1, c)[0])
+                _merge(out, q_m[1].terms, push_poly(2, c)[0])
+            # theta(S + u) = theta S + theta u - S u
+            _merge(out, {_mono_mul(m, mono): v for m, v in done.items()}, -c)
+            done[mono] = c
+        return _trusted(self, out)
 
     # -- compound operations ----------------------------------------------
 

@@ -11,13 +11,14 @@ term ordering, JSON is emitted with sorted keys, and all randomized
 checks run from fixed seeds, so repeated runs are byte-identical.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 malformed
-input or usage, 3 internal error.
+input or usage, 3 internal error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .poly import Poly
@@ -440,7 +441,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away, as in `powerops ... | head`: not
+        # a bug.  stdout now points at devnull, so that the interpreter's
+        # last flush cannot raise again; 141 is what a shell reports for a
+        # writer killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

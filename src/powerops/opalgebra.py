@@ -152,18 +152,26 @@ def _raw_multiply(x, y):
 
 # --- scalar pushing ---------------------------------------------------------
 
+# Row k holds push_through(i, k) for i = 0, 1, 2.  It is filled upward from
+# row k - 1, so no degree recurses on the one below it.
+_PUSHED_ROWS = [tuple(tuple(ONE if j == i else ZERO for j in range(3))
+                      for i in range(3))]
+
+
 @lru_cache(maxsize=None)
 def push_through(i: int, k: int):
     """Write Q_i * a^k as c0*Q0 + c1*Q1 + c2*Q2; returns (c0, c1, c2)."""
-    if k == 0:
-        return tuple(ONE if j == i else ZERO for j in range(3))
-    t = [push_through(j, k - 1) for j in range(3)]
-    if i == 0:
-        return tuple(A * A * t[0][j] - 2 * A * t[1][j] + 6 * t[2][j]
-                     for j in range(3))
-    if i == 1:
-        return tuple(3 * t[0][j] + A * t[2][j] for j in range(3))
-    return tuple(-A * t[0][j] + 3 * t[1][j] for j in range(3))
+    if k < 0:
+        raise ValueError("negative exponent")
+    rows = _PUSHED_ROWS
+    while len(rows) <= k:
+        t = rows[-1]
+        rows.append((
+            tuple(A * A * t[0][j] - 2 * A * t[1][j] + 6 * t[2][j]
+                  for j in range(3)),
+            tuple(3 * t[0][j] + A * t[2][j] for j in range(3)),
+            tuple(-A * t[0][j] + 3 * t[1][j] for j in range(3))))
+    return rows[k][i]
 
 
 def push_poly(i: int, p: Poly):

@@ -8,6 +8,9 @@ anywhere.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul, neg
+
 __all__ = ["Poly", "ZERO", "ONE", "A", "DISC"]
 
 
@@ -16,6 +19,15 @@ def _trim(coeffs):
     while n and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def _add(x, y):
+    """Canonical sum of two canonical coefficient tuples."""
+    if len(x) < len(y):
+        x, y = y, x
+    if len(x) > len(y):  # the top coefficient of x survives
+        return tuple(map(add, x, y)) + x[len(y):]
+    return _trim(list(map(add, x, y)))
 
 
 class Poly:
@@ -67,59 +79,91 @@ class Poly:
         return bool(self.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # A constant equals the int it holds, so it hashes as that int.
+        c = self.coeffs
+        if len(c) > 1:
+            return hash(c)
+        return hash(c[0]) if c else 0
 
     def __eq__(self, other):
+        if isinstance(other, Poly):
+            return self.coeffs == other.coeffs
         if isinstance(other, int):
-            other = Poly(other)
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+            return self.coeffs == ((other,) if other else ())
+        return NotImplemented
 
     # -- arithmetic --------------------------------------------------------
+    #
+    # Results are built by _trusted: every coefficient tuple below is
+    # already canonical, so none is re-coerced or re-trimmed.
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _trusted(tuple(map(neg, self.coeffs)))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Poly(other)
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            y = other.coeffs
+        elif isinstance(other, int):
+            y = (other,) if other else ()
+        else:
             return NotImplemented
-        x, y = self.coeffs, other.coeffs
-        if len(x) < len(y):
-            x, y = y, x
-        out = list(x)
-        for i, c in enumerate(y):
-            out[i] += c
-        return Poly(out)
+        x = self.coeffs
+        if not y:
+            return self
+        if not x:
+            return other if isinstance(other, Poly) else _trusted(y)
+        return _trusted(_add(x, y))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Poly(other)
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            y = other.coeffs
+        elif isinstance(other, int):
+            y = (other,) if other else ()
+        else:
             return NotImplemented
-        return self + (-other)
+        if not y:
+            return self
+        return _trusted(_add(self.coeffs, tuple(map(neg, y))))
 
     def __rsub__(self, other):
         return Poly(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Poly(other)
-        if not isinstance(other, Poly):
+        if isinstance(other, Poly):
+            y = other.coeffs
+            if len(y) == 1:
+                return self._scale(y[0])
+            x = self.coeffs
+            if len(x) == 1:
+                return other._scale(x[0])
+        elif isinstance(other, int):
+            return self._scale(other)
+        else:
             return NotImplemented
-        x, y = self.coeffs, other.coeffs
         if not x or not y:
             return ZERO
+        # Z is a domain, so the product of the leading coefficients is the
+        # nonzero top coefficient: nothing to trim.
         out = [0] * (len(x) + len(y) - 1)
         for i, ci in enumerate(x):
             if ci:
-                for j, cj in enumerate(y):
-                    out[i + j] += ci * cj
-        return Poly(out)
+                for j, cj in enumerate(y, i):
+                    out[j] += ci * cj
+        return _trusted(tuple(out))
 
     __rmul__ = __mul__
+
+    def _scale(self, n: int) -> "Poly":
+        """Multiply by the integer n."""
+        if n == 1:
+            return self
+        if not n:
+            return ZERO
+        if n == -1:
+            return -self
+        return _trusted(tuple(map(mul, self.coeffs, repeat(n))))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -134,9 +178,9 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by a^k."""
-        if not self.coeffs:
-            return ZERO
-        return Poly((0,) * k + self.coeffs)
+        if not self.coeffs or not k:
+            return self
+        return _trusted((0,) * k + self.coeffs)
 
     def divmod_monic(self, divisor: "Poly"):
         """Quotient and remainder by a monic divisor; both stay in Z[a]."""
@@ -237,6 +281,14 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%r)" % (self.coeffs,)
+
+
+def _trusted(coeffs: tuple) -> Poly:
+    """Poly's trusted constructor: coeffs must be a tuple of ints with no
+    trailing zero.  It skips the checks and copies of Poly.__init__."""
+    p = object.__new__(Poly)
+    p.coeffs = coeffs
+    return p
 
 
 ZERO = Poly(())

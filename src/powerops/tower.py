@@ -65,6 +65,9 @@ class SFrac:
         return (self.num, self.dpow, self.tpow) == (other.num, other.dpow, other.tpow)
 
     def __hash__(self):
+        # An element of R equals its numerator, so it hashes as that.
+        if not self.dpow and not self.tpow:
+            return hash(self.num)
         return hash((self.num, self.dpow, self.tpow))
 
     # -- arithmetic --------------------------------------------------------
@@ -274,6 +277,10 @@ class S2Elem:
         return self.c == other.c
 
     def __hash__(self):
+        # An element of S equals its constant coefficient, so it hashes as
+        # that.
+        if not self.c[1] and not self.c[2]:
+            return hash(self.c[0])
         return hash(self.c)
 
     def __neg__(self):

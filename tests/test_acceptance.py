@@ -24,7 +24,7 @@ BUDGETS = {
     "centrality": (2, 1),
     "psi_multiplicativity": (3, 1),
     "module_relations": (4, 5),
-    "theta_suite": (5, 30),
+    "theta_suite": (5, 15),
     "continuity": (6, 10),
     "norm_identities": (7, 5),
     "logarithm": (8, 5),

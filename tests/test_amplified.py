@@ -105,6 +105,68 @@ class TestTheta:
         assert left == right == R.theta(s + t + u)
 
 
+class TestFoldEngine:
+    """theta is a fold over terms with the product rule per term; these
+    compare it with computations that share none of that code."""
+
+    def test_agrees_with_witness_model(self):
+        # Coefficients up to a-degree 6 and generator exponents up to 5;
+        # theta generators enter to the first power, where the model stays
+        # fast.
+        from powerops.amplified import AmplifiedPoly
+        R = AmplifiedRing(theta_depth=2, word_depth=3)
+        M = WitnessModel(max_degree=6)
+        rng = random.Random(4242)
+        words = ((), (1,), (2,))
+        for _ in range(12):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                e = rng.randint(1, 5)
+                factors = {(0, rng.choice(words)): e}
+                if e < 5 and rng.random() < 0.5:
+                    g = (rng.randint(0, 1), rng.choice(words))
+                    step = 1 if g[0] else rng.randint(1, 5 - e)
+                    factors[g] = factors.get(g, 0) + step
+                coeff = [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]
+                terms[tuple(sorted(factors.items()))] = Poly(
+                    coeff + [rng.choice([-1, 1])])
+            p = AmplifiedPoly(R, terms) + rng.randint(-3, 3)
+            assert M.embed(R.theta(p)) == M.theta(M.embed(p))
+
+    def test_dense_scalars_against_action_oracle(self):
+        R = AmplifiedRing()
+        std = standard_module()
+        rng = random.Random(80)
+        for degree in (0, 1, 2, 7, 31, 59, 80):
+            c = Poly([rng.randint(-9, 9) for _ in range(degree)]
+                     + [rng.choice([-9, -1, 1, 9])])
+            q0c = act(std, Operation.q(0), (c,))[0]
+            want = (q0c - c * c).divide_int_exact(2)
+            assert R.theta(R.const(c)) == R.const(want)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a^5 Q[1 2 2 2] x", "generator theta^0 Q[1, 1, 2, 2, 2] x outside "
+                             "window (theta <= 3, word <= 4)"),
+        ("t^3 x", "generator theta^4 Q[] x outside window (theta <= 3, "
+                  "word <= 4)"),
+    ])
+    def test_window_error_messages(self, text, message):
+        R = AmplifiedRing(3, 4)
+        p = R.parse(text)
+        with pytest.raises(WindowOverflowError) as exc:
+            R.theta(p)
+        assert str(exc.value) == message
+
+    def test_constants_hash_as_their_coefficient(self):
+        R = AmplifiedRing()
+        for n in (-3, 0, 1, 7):
+            assert R.const(n) == n
+            assert hash(R.const(n)) == hash(n)
+        assert R.const(A) == A and A == R.const(A)
+        assert hash(R.const(A)) == hash(A)
+        assert {A: "v"}.get(R.const(A)) == "v"
+
+
 class TestFiveIdentities:
     """The displayed theta identities, as polynomial identities.
 

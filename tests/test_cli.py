@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from powerops.amplified import AmplifiedRing
 from powerops.cli import main
 from powerops.normlog import NormContext
 from powerops.opalgebra import Operation, normal_form
@@ -263,6 +264,68 @@ class TestVerifyAll:
         assert len(fails) == 1
         assert "continuity" in fails[0]
         assert "generator level ok: True" in fails[0]
+
+
+def child_env():
+    """Environment for a child interpreter that imports the same package."""
+    root = Path(importlib.import_module("powerops.cli").__file__).parents[1]
+    return dict(os.environ, PYTHONPATH=str(root.resolve()))
+
+
+class TestDeepDegrees:
+    DEGREE = 250
+    CHILD = """
+import contextlib, io, json, sys
+from powerops.cli import main
+from powerops.opalgebra import push_through
+sys.setrecursionlimit(%d)
+rows = [[c.to_json() for c in push_through(i, %d)] for i in range(3)]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["theta", "a^%d x"])
+print(json.dumps({"rows": rows, "code": code, "theta": out.getvalue()}))
+"""
+
+    def test_no_recursion_per_a_degree(self):
+        # The child's recursion limit is below the a-degree, so any code
+        # path that recurses once per degree fails there.
+        n = self.DEGREE
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD % (n - 100, n, n)],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        for i, row in enumerate(doc["rows"]):
+            # straightening Q_i a^n by repeated a-multiplication
+            want = Operation.q(i) * Poly.a_power(n)
+            got = Operation({(1, ()): Poly.from_json(row[0]),
+                             (0, (1,)): Poly.from_json(row[1]),
+                             (0, (2,)): Poly.from_json(row[2])})
+            assert got == want
+        assert doc["code"] == 0, proc.stderr
+        ring = AmplifiedRing(theta_depth=3, word_depth=4)
+        p = ring.parse("a^%d x" % n)
+        theta = ring.parse(doc["theta"])
+        assert theta + theta == ring.q(0, p) - p * p
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("expr", ["x", "a^120 x"])
+    def test_reader_gone_is_not_a_bug(self, expr):
+        # The pipe has no reader before the child starts, so its first
+        # write to stdout fails: the small output when main flushes it,
+        # the large one (past the buffer) while it prints.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "powerops.cli", "theta", expr],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=child_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
 
 class TestEntryPoint:

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from powerops.poly import Poly, A, DISC, ONE, ZERO
 
 
@@ -72,3 +74,55 @@ def test_str():
     assert str(A ** 2 - 2 * A + 1) == "a^2 - 2*a + 1"
     assert str(ZERO) == "0"
     assert str(-A) == "-a"
+
+
+# --- fast paths against the general path -----------------------------------
+
+coeff_lists = st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=8)
+small_ints = st.integers(-2 ** 40, 2 ** 40)
+
+
+def convolve(x, y):
+    """The product of two coefficient lists, by the schoolbook sum."""
+    out = [0] * max(len(x) + len(y) - 1, 0)
+    for i, ci in enumerate(x):
+        for j, cj in enumerate(y):
+            out[i + j] += ci * cj
+    return out
+
+
+def assert_canonical(p):
+    assert type(p) is Poly
+    assert type(p.coeffs) is tuple
+    assert all(type(c) is int for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists, small_ints, st.integers(0, 6))
+def test_fast_paths_equal_general_path(xs, ys, n, k):
+    # Every result is compared with Poly() of the plain-integer answer,
+    # which goes through the checking constructor.
+    x, y = Poly(xs), Poly(ys)
+    cases = [
+        (x + 0, Poly(xs)), (0 + x, Poly(xs)), (x + ZERO, Poly(xs)),
+        (ZERO + x, Poly(xs)), (x - 0, Poly(xs)), (x - ZERO, Poly(xs)),
+        (x * 0, ZERO), (x * ZERO, ZERO), (0 * x, ZERO),
+        (x * 1, Poly(xs)), (x * ONE, Poly(xs)), (ONE * x, Poly(xs)),
+        (x * -1, Poly([-c for c in xs])), (-x, Poly([-c for c in xs])),
+        (x * n, Poly([n * c for c in xs])), (n * x, Poly([n * c for c in xs])),
+        (x * Poly(n), Poly([n * c for c in xs])),
+        (Poly(n) * x, Poly([n * c for c in xs])),
+        (x + n, Poly([xs[0] + n] + xs[1:] if xs else [n])),
+        (n - x, Poly([n - xs[0]] + [-c for c in xs[1:]] if xs else [n])),
+        (x.shift(k), Poly([0] * k + list(xs))),
+        (x + y, Poly([a + b for a, b in zip(xs + [0] * len(ys),
+                                             ys + [0] * len(xs))])),
+        (x - y, Poly([a - b for a, b in zip(xs + [0] * len(ys),
+                                             ys + [0] * len(xs))])),
+        (x - x, ZERO), (x + -x, ZERO), ((x + y) - y, Poly(xs)),
+        (x * y, Poly(convolve(xs, ys))),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.coeffs == want.coeffs

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from powerops.poly import Poly, A, DISC
 from powerops.tower import (SFrac, S2Elem, S22Elem, tower_reduce,
                             parse_tower_expr)
@@ -231,3 +233,36 @@ def test_json_roundtrip():
     assert S2Elem.from_json(y.to_json()) == y
     z = tower_reduce({(1, 4, 2): 3, (0, 0, 1): -1})
     assert S22Elem.from_json(z.to_json()) == z
+
+
+# --- hashes agree with equality --------------------------------------------
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(-2 ** 80, 2 ** 80),
+       st.lists(st.integers(-3, 3), max_size=3), st.integers(0, 2),
+       st.integers(0, 2))
+def test_equal_to_an_int_means_hashed_as_it(n, coeffs, dpow, tpow):
+    # Constants in every guise, written so that the constructors have to
+    # reduce them; and random elements, which are equal to n only rarely.
+    den = DISC ** dpow * 2 ** tpow
+    candidates = [Poly(n), Poly([n, 0, 0]), SFrac(n), SFrac(Poly(n)),
+                  SFrac(n * den, dpow, tpow), S2Elem(n),
+                  S2Elem(SFrac(n * den, dpow, tpow), 0, 0),
+                  Poly(coeffs), SFrac(Poly(coeffs), dpow, tpow),
+                  S2Elem(SFrac(Poly(coeffs), dpow, tpow), 0, 0),
+                  S2Elem(n, Poly(coeffs), 0)]
+    for x in candidates:
+        if x == n:
+            assert hash(x) == hash(n)
+        for m in coeffs:
+            if x == m:
+                assert hash(x) == hash(m)
+    assert {n: "v"}.get(Poly(n)) == "v"
+    assert {n: "v"}.get(SFrac(n * den, dpow, tpow)) == "v"
+    assert {n: "v"}.get(S2Elem(n)) == "v"
+    assert hash(Poly(0)) == hash(SFrac(0)) == hash(S2Elem()) == 0
+    # equality is symmetric across the types, so lookups work both ways
+    assert Poly(n) == SFrac(n) and SFrac(n) == Poly(n)
+    assert Poly(n) == S2Elem(n) and S2Elem(n) == Poly(n)
+    assert {Poly(n): "v"}.get(SFrac(n)) == "v"
