@@ -36,14 +36,18 @@ by
     Q2 theta s = theta Q1 s + a theta Q2 s - Q1 Q2 s - Q0 s Q2 s.
 
 `WitnessModel` is an independent consistency oracle: a torsion-free
-polynomial model on admissible Q-words (Q0 allowed as a letter) where theta
-is *defined* as (Q0 y - y^2)/2 and the identities above are theorems; the
-free window ring embeds into it generator by generator.
+polynomial model on admissible Q-words (Q0 allowed as a letter), built on
+`MPoly` with coefficients in Z[1/2][a], where theta is *defined* as
+(Q0 y - y^2)/2 and the identities above are theorems; the free window ring
+embeds into it generator by generator.  It shares no theta/Q/Cartan or
+product code with the engine.
 """
 
 from __future__ import annotations
 
-from .poly import Poly, ZERO, ONE, A
+from .poly import Poly, ZERO, ONE, A, power
+from .tower import SFrac, S_ONE
+from .mpoly import MPoly
 from .opalgebra import (Operation, push_poly, push_through, psi,
                         basis_of_degree, _merge)
 from .opmodules import standard_module, act
@@ -197,14 +201,7 @@ class AmplifiedPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.ring.one())
 
     def coefficient(self, mono):
         return self.terms.get(_sorted_mono(mono), ZERO)
@@ -517,116 +514,36 @@ class AmplifiedRing:
 
 # --- independent torsion-free model ----------------------------------------
 
-class ModelPoly:
-    """Polynomial on admissible-word generators with coefficients in Z[1/2][a].
-
-    Used only by WitnessModel.  Monomials are sorted tuples of
-    ((j, word), exponent); coefficients are SFrac values (halving is exact
-    there, no divisibility demands).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        from .tower import SFrac
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if not isinstance(c, SFrac):
-                    c = SFrac(Poly(c))
-                if not c.is_zero():
-                    clean[mono] = c
-        self.terms = clean
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, ModelPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            new = out.get(mono)
-            new = c if new is None else new + c
-            if new.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-        return ModelPoly(out)
-
-    def __neg__(self):
-        return ModelPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = {}
-                for g, e in m1:
-                    merged[g] = merged.get(g, 0) + e
-                for g, e in m2:
-                    merged[g] = merged.get(g, 0) + e
-                mono = _sorted_mono(merged.items())
-                prod = c1 * c2
-                cur = out.get(mono)
-                new = prod if cur is None else cur + prod
-                if new.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = new
-        return ModelPoly(out)
-
-    def scale(self, c) -> "ModelPoly":
-        from .tower import SFrac
-        if not isinstance(c, SFrac):
-            c = SFrac(Poly(c))
-        return ModelPoly({m: c * v for m, v in self.terms.items()})
-
-    def is_integral(self) -> bool:
-        return all(c.is_in_R() for c in self.terms.values())
-
-
 class WitnessModel:
     """Torsion-free model where theta is division: theta y = (Q0 y - y^2)/2.
 
     Generators are admissible operation monomials applied to x (Q0 is a
     legitimate letter here, straightened through the operation algebra);
-    coefficients live in Z[1/2][a], where halving is always possible.  The
-    window engine embeds by theta^j Q_w x -> theta^j(Q_w x), and agreement
-    of the engine's structural theta/Q recursion with the model's
-    definitional division is the consistency certificate for the identity
-    set.  Shares no theta/Q code with AmplifiedRing.
+    elements are MPolys in the generators (j, word) with SFrac coefficients
+    in Z[1/2][a], where halving is always possible.  The window engine
+    embeds by theta^j Q_w x -> theta^j(Q_w x), and agreement of the
+    engine's structural theta/Q recursion with the model's definitional
+    division is the consistency certificate for the identity set.
     """
 
     def __init__(self, max_degree: int = 6):
         self.max_degree = max_degree
         self._q_gen_memo = {}
+        self._image_memo = {}
 
-    def gen(self, jw) -> ModelPoly:
+    def gen(self, jw) -> MPoly:
         j, word = jw
         if j + len(word) > self.max_degree:
             raise WindowOverflowError("model generator degree too large")
-        return ModelPoly({(((j, tuple(word)), 1),): ONE})
+        return MPoly({(((j, tuple(word)), 1),): S_ONE})
 
-    def x(self) -> ModelPoly:
+    def x(self) -> MPoly:
         return self.gen((0, ()))
 
-    def const(self, p) -> ModelPoly:
-        return ModelPoly({(): p})
+    def const(self, p) -> MPoly:
+        return MPoly.const(SFrac(p))
 
-    def zero(self) -> ModelPoly:
-        return ModelPoly()
-
-    def one(self) -> ModelPoly:
+    def one(self) -> MPoly:
         return self.const(1)
 
     def _q_gen(self, g):
@@ -638,76 +555,74 @@ class WitnessModel:
         out = []
         for i in range(3):
             prod = Operation.q(i) * Operation({(j, word): ONE})
-            val = self.zero()
-            for (j2, w2), c in prod.terms.items():
-                val = val + self.gen((j2, w2)).scale(c)
-            out.append(val)
+            out.append(MPoly.combination(
+                (self.gen(jw), SFrac(c)) for jw, c in prod.terms.items()))
         result = tuple(out)
         self._q_gen_memo[g] = result
         return result
 
     def _cartan(self, c, d):
-        a = self.const(A)
-        two = self.const(2)
-        p0 = c[0] * d[0] + two * c[1] * d[2] + two * c[2] * d[1]
+        a = SFrac(A)
+        p0 = c[0] * d[0] + 2 * c[1] * d[2] + 2 * c[2] * d[1]
         p1 = (c[0] * d[1] + c[1] * d[0] + a * c[1] * d[2] + a * c[2] * d[1]
-              + two * c[2] * d[2])
+              + 2 * c[2] * d[2])
         p2 = c[0] * d[2] + c[2] * d[0] + c[1] * d[1] + a * c[2] * d[2]
         return (p0, p1, p2)
 
     def _q_mono(self, mono):
         if not mono:
-            return (self.one(), self.zero(), self.zero())
+            return (self.one(), MPoly(), MPoly())
         (g, e) = mono[0]
         rest = ((g, e - 1),) + mono[1:] if e > 1 else mono[1:]
         return self._cartan(self._q_gen(g), self._q_mono(rest))
 
-    def q(self, i, p: ModelPoly) -> ModelPoly:
-        from .tower import SFrac
-        out = self.zero()
+    def q(self, i, p: MPoly) -> MPoly:
+        pairs = []
         for mono, c in p.terms.items():
             trip = self._q_mono(mono)
             # Q_i(c m): push the coefficient through; Q_i scales 2-powers
             # linearly, so the SFrac splits as num / 2^t with num pushed.
-            num, tpow = c.num, c.tpow
             if c.dpow:
                 raise ValueError("model coefficients must be in Z[1/2][a]")
-            pushed = push_poly(i, num)
-            for l in range(3):
-                if not pushed[l].is_zero():
-                    out = out + trip[l].scale(SFrac(pushed[l], 0, tpow))
-        return out
+            for l, pushed in enumerate(push_poly(i, c.num)):
+                if pushed:
+                    pairs.append((trip[l], SFrac(pushed, 0, c.tpow)))
+        return MPoly.combination(pairs)
 
-    def theta(self, p: ModelPoly) -> ModelPoly:
+    def theta(self, p: MPoly) -> MPoly:
         """(Q0 p - p^2) / 2, taken in Z[1/2][a] coefficients."""
-        from .tower import SFrac
-        half = SFrac(ONE, 0, 1)
-        return (self.q(0, p) - p * p).scale(half)
+        return (self.q(0, p) - p * p) * SFrac(1, 0, 1)
 
-    def operation(self, g: Operation, p: ModelPoly) -> ModelPoly:
-        total = self.zero()
+    def operation(self, g: Operation, p: MPoly) -> MPoly:
+        pairs = []
         for (j, word), coeff in g.terms.items():
             w = p
             for letter in reversed(word):
                 w = self.q(letter, w)
             for _ in range(j):
                 w = self.q(0, w)
-            total = total + w.scale(coeff)
-        return total
+            pairs.append((w, SFrac(coeff)))
+        return MPoly.combination(pairs)
 
-    def embed(self, p: AmplifiedPoly) -> ModelPoly:
+    def _image(self, g):
+        """theta^j(Q_w x) for the window generator g = (j, w), memoized."""
+        cached = self._image_memo.get(g)
+        if cached is None:
+            j, word = g
+            cached = (self.theta(self._image((j - 1, word))) if j
+                      else self.gen((0, word)))
+            self._image_memo[g] = cached
+        return cached
+
+    def embed(self, p: AmplifiedPoly) -> MPoly:
         """Image of a window polynomial under theta^j Q_w x -> theta^j(Q_w x)."""
-        total = self.zero()
+        pairs = []
         for mono, c in p.terms.items():
             factor = self.one()
-            for (j, word), e in mono:
-                img = self.gen((0, tuple(word)))
-                for _ in range(j):
-                    img = self.theta(img)
-                for _ in range(e):
-                    factor = factor * img
-            total = total + factor.scale(c)
-        return total
+            for g, e in mono:
+                factor = factor * self._image(g) ** e
+            pairs.append((factor, SFrac(c)))
+        return MPoly.combination(pairs)
 
 
 # --- scalar-ring checks -----------------------------------------------------

@@ -33,7 +33,7 @@ from .koszul import acyclicity_check, tor_gamma_mod_I
 from .curve import (DEFAULT_ORDER, isogeny_series, derive_commutation,
                     derive_adem_and_psi, q_series_mismatch_report,
                     format_word_combo)
-from .verify import CHECKS, run_all
+from .verify import run_checks, run_all
 
 __all__ = ["main"]
 
@@ -332,12 +332,9 @@ def _cmd_derive(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     if args.json:
-        results = []
-        all_ok = True
-        for name, func in CHECKS:
-            ok, detail = func()
-            all_ok = all_ok and ok
-            results.append({"name": name, "ok": ok, "detail": detail})
+        results = [{"name": name, "ok": ok, "detail": detail}
+                   for name, ok, detail, _ in run_checks()]
+        all_ok = all(r["ok"] for r in results)
         _emit_json({"checks": results, "ok": all_ok})
         return 0 if all_ok else 1
     return 0 if run_all(sys.stdout, timings=False) else 1

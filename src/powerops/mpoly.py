@@ -1,19 +1,61 @@
-"""Multivariate integer polynomials in named commuting variables.
+"""Sparse polynomials in named commuting variables over a commutative ring.
 
-A small exact helper for symbolic matrix work: entries of multiplication
-matrices over the cubic extension are polynomials in symbols like q0, q1,
-q2 and a, and identities between trace/determinant expressions are checked
-by comparing canonical forms here.  Monomials are sorted tuples of
-(name, exponent); coefficients are arbitrary integers.
+The package's one general sparse polynomial.  Monomials are sorted tuples
+of (name, exponent) pairs, with names of one comparable kind per
+polynomial (strings like q0 and a, or generator labels).  Coefficients are
+the elements of any commutative ring whose zero is falsy: int, Poly, SFrac.
+Every operand that is not an MPoly is a constant.  Symbolic matrix entries
+over the cubic extension and the trace and norm formulas are polynomials in
+q0, q1, q2, a here; the witness model of the amplified ring is a
+polynomial with SFrac coefficients in its generators.
 """
 
 from __future__ import annotations
 
+from .poly import power
+
 __all__ = ["MPoly"]
 
 
-def _clean(pairs):
-    return tuple(sorted((n, e) for n, e in pairs if e))
+def _mono_mul(m1, m2):
+    """Product of two monomials."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged = dict(m1)
+    for n, e in m2:
+        merged[n] = merged.get(n, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _terms(x):
+    """The terms of an MPoly, or of the constant x."""
+    if isinstance(x, MPoly):
+        return x.terms
+    return {(): x} if x else {}
+
+
+def _add_into(out, terms, factor=None):
+    """out += terms * factor, for dicts of monomial -> coefficient."""
+    for m, c in terms.items():
+        if factor is not None:
+            c = c * factor
+        cur = out.get(m)
+        if cur is not None:
+            c = cur + c
+        if c:
+            out[m] = c
+        elif cur is not None:
+            del out[m]
+
+
+def _trusted(terms):
+    """An MPoly on terms, which must map canonical monomials to nonzero
+    coefficients; it is taken over, not copied."""
+    p = object.__new__(MPoly)
+    p.terms = terms
+    return p
 
 
 class MPoly:
@@ -24,92 +66,72 @@ class MPoly:
         if terms:
             for mono, c in terms.items():
                 if c:
-                    clean[_clean(mono)] = c
+                    clean[tuple(sorted((n, e) for n, e in mono if e))] = c
         self.terms = clean
 
     @staticmethod
-    def var(name: str) -> "MPoly":
+    def var(name) -> "MPoly":
         return MPoly({((name, 1),): 1})
 
     @staticmethod
-    def const(n: int) -> "MPoly":
-        return MPoly({(): n})
+    def const(c) -> "MPoly":
+        return MPoly({(): c})
+
+    @staticmethod
+    def combination(pairs) -> "MPoly":
+        """The sum of p * c over (p, c) pairs, each p an MPoly and each c a
+        coefficient, accumulated in one table."""
+        out = {}
+        for p, c in pairs:
+            _add_into(out, p.terms, c)
+        return _trusted(out)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = MPoly.const(other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.terms == other.terms
+        return self.terms == _terms(other)
 
     def __hash__(self):
+        # A constant equals its coefficient, so it hashes as that.
+        if not self.terms or (len(self.terms) == 1 and () in self.terms):
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return MPoly({m: -c for m, c in self.terms.items()})
+        return _trusted({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = MPoly.const(other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
+        y = _terms(other)
+        if not y:
+            return self
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            new = out.get(m, 0) + c
-            if new:
-                out[m] = new
-            else:
-                out.pop(m, None)
-        return MPoly(out)
+        _add_into(out, y)
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MPoly.const(other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = MPoly.const(other)
         if not isinstance(other, MPoly):
-            return NotImplemented
+            return MPoly.combination([(self, other)])
         out = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = {}
-                for n, e in m1:
-                    merged[n] = merged.get(n, 0) + e
-                for n, e in m2:
-                    merged[n] = merged.get(n, 0) + e
-                mono = _clean(merged.items())
-                new = out.get(mono, 0) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
-        return MPoly(out)
+            _add_into(out, {_mono_mul(m1, m2): c2
+                            for m2, c2 in other.terms.items()}, c1)
+        return _trusted(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out, base = MPoly.const(1), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, MPoly.const(1))
 
     def substitute(self, values: dict, one=1):
         """Evaluate with each named variable replaced by values[name].
@@ -117,14 +139,13 @@ class MPoly:
         `one` supplies the multiplicative unit of the target ring so that
         constant terms and empty products land in it.
         """
-        total = None
+        total = 0 * one
         for mono, c in self.terms.items():
-            prod = one
+            term = c * one
             for name, e in mono:
-                prod = prod * values[name] ** e
-            term = c * prod
-            total = term if total is None else total + term
-        return 0 * one if total is None else total
+                term = term * values[name] ** e
+            total = total + term
+        return total
 
     def degree(self) -> int:
         if not self.terms:
@@ -139,15 +160,17 @@ class MPoly:
             return (sum(e for _, e in mono), mono)
         parts = []
         for mono, c in sorted(self.terms.items(), key=key):
-            body = " ".join(n if e == 1 else "%s^%d" % (n, e)
+            body = " ".join(str(n) if e == 1 else "%s^%d" % (n, e)
                             for n, e in mono)
-            if not body:
-                frag = str(abs(c))
-            elif abs(c) == 1:
+            sign = "+ "
+            if isinstance(c, int) and c < 0:
+                sign, c = "- ", -c
+            if c == 1 and body:
                 frag = body
             else:
-                frag = "%d %s" % (abs(c), body)
-            parts.append(("- " if c < 0 else "+ ") + frag)
+                coeff = str(c) if isinstance(c, int) else "(%s)" % c
+                frag = "%s %s" % (coeff, body) if body else coeff
+            parts.append(sign + frag)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "- " + text[2:]
 

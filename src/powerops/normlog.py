@@ -1,20 +1,20 @@
 """Trace, norm, and the 2-adic logarithm for the operation action.
 
-For an element x of a ring with the Q-action, write q_i = Q_i x and set
+For an element x of a ring with the Q-action, write q_i = Q_i x.  The
+trace T x and the norm N x are polynomials in q0, q1, q2 and a, kept once
+as data: TRACE = 3 q0 + 2a q2, and NORM, a cubic of eight terms.  Further
 
-    T x = 3 q0 + 2a q2
-    N x = q0^3 + 2a q0^2 q2 - a q0 q1^2 + a^2 q0 q2^2
-          - 6 q0 q1 q2 + 2 q1^3 - 2a q1 q2^2 + 4 q2^3
     M x = (x^2 Psi x / N x - 1) / 2
     ell(x) = (1/2) log(1 + 2 M x),  summed 2-adically.
 
 T and N are the trace and norm of multiplication by P(x) = q0 + q1 d +
-q2 d^2 on the rank-3 extension S2 = S[d]/(d^3 - a d - 2); this module both
-evaluates them and proves the two identifications symbolically.  Three
-hosts are supported: R = Z[a] (trace, norm, congruence and linearization
-checks), S = R[1/D] (exact unit arithmetic; the assignment x -> P(x) is a
-ring homomorphism, which is how Q_i reach denominators), and the completed
-ring of 2-adically truncated series (log evaluation at stated precision).
+q2 d^2 on the rank-3 extension S2 = S[d]/(d^3 - a d - 2); this module
+evaluates TRACE and NORM on each host and proves the two identifications
+symbolically against the same data.  Three hosts are supported: R = Z[a]
+(trace, norm, congruence and linearization checks), S = R[1/D] (exact unit
+arithmetic; the assignment x -> P(x) is a ring homomorphism, which is how
+Q_i reach denominators), and the completed ring of 2-adically truncated
+series (log evaluation at stated precision).
 """
 
 from __future__ import annotations
@@ -27,12 +27,25 @@ from .opalgebra import Operation, psi, push_through
 from .opmodules import standard_module, act
 from .mpoly import MPoly
 
-__all__ = ["NormContext", "trace_T", "norm_N", "norm_multiplicativity_check",
-           "linearization_check", "norm_congruence_check", "log_ell",
+__all__ = ["TRACE", "NORM", "NormContext", "norm_multiplicativity_check",
+           "linearization_check", "norm_congruence_check",
            "q_triple_R", "q_triple_S", "q_triple_padic", "p_map",
            "multiplication_matrix_symbolic", "trace_norm_symbolic_check"]
 
 _STD = standard_module()
+
+# --- T and N as data --------------------------------------------------------
+
+def _trace_and_norm():
+    q0, q1, q2, a = map(MPoly.var, ("q0", "q1", "q2", "a"))
+    return (3 * q0 + 2 * a * q2,
+            q0 ** 3 + 2 * a * q0 ** 2 * q2 - a * q0 * q1 ** 2
+            + a ** 2 * q0 * q2 ** 2 - 6 * q0 * q1 * q2 + 2 * q1 ** 3
+            - 2 * a * q1 * q2 ** 2 + 4 * q2 ** 3)
+
+
+#: T and N as polynomials in q_i = Q_i x and a.
+TRACE, NORM = _trace_and_norm()
 
 
 # --- the Q-action on each host ----------------------------------------------
@@ -155,16 +168,16 @@ class NormContext:
 
     # -- the four operators -------------------------------------------------
 
+    def _evaluate(self, form: MPoly, x):
+        q0, q1, q2 = self.q_triple(x)
+        return form.substitute({"q0": q0, "q1": q1, "q2": q2,
+                                "a": self._a(q0)})
+
     def trace_T(self, x):
-        q = self.q_triple(x)
-        return 3 * q[0] + 2 * self._a(q[0]) * q[2]
+        return self._evaluate(TRACE, x)
 
     def norm_N(self, x):
-        q0, q1, q2 = self.q_triple(x)
-        a = self._a(q0)
-        return (q0 * q0 * q0 + 2 * a * q0 * q0 * q2 - a * q0 * q1 * q1
-                + a * a * q0 * q2 * q2 - 6 * q0 * q1 * q2 + 2 * q1 * q1 * q1
-                - 2 * a * q1 * q2 * q2 + 4 * q2 * q2 * q2)
+        return self._evaluate(NORM, x)
 
     def m_value(self, x):
         """M x = (x^2 Psi x / N x - 1) / 2; requires x (hence N x) a unit."""
@@ -202,19 +215,7 @@ class NormContext:
         return log_half(m)
 
 
-# --- module-level entry points ----------------------------------------------
-
-def trace_T(ctx: NormContext, x):
-    return ctx.trace_T(x)
-
-
-def norm_N(ctx: NormContext, x):
-    return ctx.norm_N(x)
-
-
-def log_ell(ctx: NormContext, x) -> PadicElem:
-    return ctx.log_ell(x)
-
+# --- checks -----------------------------------------------------------------
 
 def norm_multiplicativity_check(ctx: NormContext, x, y) -> bool:
     x, y = ctx.coerce(x), ctx.coerce(y)
@@ -231,34 +232,17 @@ def norm_congruence_check(x) -> bool:
 def linearization_check(r) -> bool:
     """N(1 + eps r) = 1 + eps T(r) in R[eps]/(eps^2).
 
-    Dual numbers (value, eps-part) with the Q-action extended eps-linearly;
-    the check expands the norm formula to first order.
+    The norm formula is evaluated at q_i = Q_i(1) + eps Q_i(r), polynomials
+    in eps, and its eps^0 and eps^1 coefficients are read off.
     """
-    ctx = NormContext("R")
     r = Poly(r)
-    q = [(v1, vr) for v1, vr in zip(q_triple_R(ONE), q_triple_R(r))]
-
-    def mul(u, v):
-        return (u[0] * v[0], u[0] * v[1] + u[1] * v[0])
-
-    def smul(c, u):
-        return (c * u[0], c * u[1])
-
-    a = (A, ZERO)
-    q0, q1, q2 = q
-    total = mul(mul(q0, q0), q0)
-    total = _dadd(total, smul(2, mul(mul(a, mul(q0, q0)), q2)))
-    total = _dadd(total, smul(-1, mul(mul(a, q0), mul(q1, q1))))
-    total = _dadd(total, mul(mul(mul(a, a), q0), mul(q2, q2)))
-    total = _dadd(total, smul(-6, mul(q0, mul(q1, q2))))
-    total = _dadd(total, smul(2, mul(mul(q1, q1), q1)))
-    total = _dadd(total, smul(-2, mul(mul(a, q1), mul(q2, q2))))
-    total = _dadd(total, smul(4, mul(mul(q2, q2), q2)))
-    return total[0] == ONE and total[1] == ctx.trace_T(r)
-
-
-def _dadd(u, v):
-    return (u[0] + v[0], u[1] + v[1])
+    eps = MPoly.var("eps")
+    at_one, at_r = q_triple_R(ONE), q_triple_R(r)
+    values = {"q%d" % i: at_one[i] + eps * at_r[i] for i in range(3)}
+    values["a"] = A
+    total = NORM.substitute(values).terms
+    return (total.get((), ZERO) == ONE
+            and total.get((("eps", 1),), ZERO) == NormContext("R").trace_T(r))
 
 
 # --- symbolic identification of T and N -------------------------------------
@@ -294,13 +278,7 @@ def trace_norm_symbolic_check():
     det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    q0, q1, q2 = MPoly.var("q0"), MPoly.var("q1"), MPoly.var("q2")
-    a = MPoly.var("a")
-    t_expected = 3 * q0 + 2 * a * q2
-    n_expected = (q0 ** 3 + 2 * a * q0 ** 2 * q2 - a * q0 * q1 ** 2
-                  + a ** 2 * q0 * q2 ** 2 - 6 * q0 * q1 * q2 + 2 * q1 ** 3
-                  - 2 * a * q1 * q2 ** 2 + 4 * q2 ** 3)
     return {"trace": tr, "det": det,
-            "trace_matches": tr == t_expected,
-            "norm_matches": det == n_expected,
-            "ok": tr == t_expected and det == n_expected}
+            "trace_matches": tr == TRACE,
+            "norm_matches": det == NORM,
+            "ok": tr == TRACE and det == NORM}

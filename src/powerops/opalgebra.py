@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .poly import Poly, A, ONE, ZERO
 
-__all__ = ["Operation", "normal_form", "multiply", "psi", "basis_of_degree",
+__all__ = ["Operation", "normal_form", "psi", "basis_of_degree",
            "push_through", "push_poly", "parse_terms", "check_confluence",
            "GAMMA_RANKS"]
 
@@ -333,10 +333,6 @@ class Operation:
         return " ".join(chunks)
 
     __repr__ = __str__
-
-
-def multiply(x: Operation, y: Operation) -> Operation:
-    return x * y
 
 
 def psi() -> Operation:

@@ -16,7 +16,7 @@ makes sense over Z2 with no division by 2.
 
 from __future__ import annotations
 
-from .poly import Poly
+from .poly import Poly, power
 from .tower import SFrac
 
 __all__ = ["PadicElem", "PrecisionError", "log_half", "DEFAULT_PREC2",
@@ -151,14 +151,7 @@ class PadicElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        out = PadicElem.one(self.prec2, self.precA)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, PadicElem.one(self.prec2, self.precA))
 
     def div_odd(self, k: int) -> "PadicElem":
         """Divide by an odd integer (a unit of Z2)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import repeat
 from operator import add, mul, neg
 
-__all__ = ["Poly", "ZERO", "ONE", "A", "DISC"]
+__all__ = ["Poly", "ZERO", "ONE", "A", "DISC", "power"]
 
 
 def _trim(coeffs):
@@ -168,13 +168,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, ONE)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by a^k."""
@@ -281,6 +275,19 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%r)" % (self.coeffs,)
+
+
+def power(x, n: int, one):
+    """x**n for n >= 0 in any ring, by binary powering from the top bit of
+    n, so nothing is squared after the last bit; `one` is x**0."""
+    if not n:
+        return one
+    out = x
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
 
 
 def _trusted(coeffs: tuple) -> Poly:

@@ -15,7 +15,7 @@ equality is tuple equality.
 
 from __future__ import annotations
 
-from .poly import Poly, DISC, ONE, ZERO
+from .poly import Poly, DISC, ONE, ZERO, power
 
 __all__ = ["SFrac", "S2Elem", "S22Elem", "tower_reduce", "parse_tower_expr"]
 
@@ -105,15 +105,9 @@ class SFrac:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out, base = S_ONE, self
         if n < 0:
-            base, n = base.inv(), -n
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return power(self.inv(), -n, S_ONE)
+        return power(self, n, S_ONE)
 
     def inv(self) -> "SFrac":
         """Inverse when the numerator is +-2^s * D^r; otherwise ValueError."""
@@ -325,15 +319,9 @@ class S2Elem:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out, base = S2Elem(1), self
         if n < 0:
-            base, n = base.inv(), -n
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return power(self.inv(), -n, S2Elem(1))
+        return power(self, n, S2Elem(1))
 
     def mult_matrix(self):
         """3x3 matrix (rows) of multiplication by self on the basis 1, d, d^2.

@@ -1,8 +1,9 @@
 """End-to-end verification suite.
 
 Twelve independent checks, one per advertised capability, each returning
-(ok, detail).  `run_all` executes them in order and prints one line per
-check; it is what the command-line front end's `verify-all` runs.
+(ok, detail).  `run_checks` executes them in order; `run_all` prints one
+line per check, and the command-line front end's `verify-all` prints
+either those lines or the same results as JSON.
 
 One check is expected to fail by design: `check_continuity` sweeps the
 (2, a)-adic continuity claim over composite operation monomials, where it
@@ -31,7 +32,7 @@ from .curve import (isogeny_series, TARGET_A, q_series_on_u,
                     q_series_mismatch_report, derive_commutation,
                     derive_adem_and_psi)
 
-__all__ = ["CHECKS", "run_all", "run_named"]
+__all__ = ["CHECKS", "run_checks", "run_all", "run_named"]
 
 
 def check_ranks():
@@ -360,6 +361,14 @@ def run_named(name):
     return ok, detail, time.time() - start
 
 
+def run_checks():
+    """Run every check in order, yielding (name, ok, detail, seconds)."""
+    for name, func in CHECKS:
+        start = time.time()
+        ok, detail = func()
+        yield name, ok, detail, time.time() - start
+
+
 def run_all(stream=sys.stdout, timings=True) -> bool:
     """Run every check, print one line each, return overall success.
 
@@ -367,10 +376,7 @@ def run_all(stream=sys.stdout, timings=True) -> bool:
     randomness is seeded, so the details are already deterministic).
     """
     all_ok = True
-    for idx, (name, func) in enumerate(CHECKS, start=1):
-        start = time.time()
-        ok, detail = func()
-        elapsed = time.time() - start
+    for idx, (name, ok, detail, elapsed) in enumerate(run_checks(), start=1):
         all_ok = all_ok and ok
         clock = "%6.2fs  " % elapsed if timings else ""
         stream.write("%2d/%d  %s  %-22s %s%s\n"

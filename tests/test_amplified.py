@@ -133,6 +133,19 @@ class TestFoldEngine:
             p = AmplifiedPoly(R, terms) + rng.randint(-3, 3)
             assert M.embed(R.theta(p)) == M.theta(M.embed(p))
 
+    @pytest.mark.parametrize("text", [
+        "t x (t Q[2] x)^2",
+        "2 a (t x)^3 - (t x)^3 + a^2 Q[1] x",
+        "(t Q[1] x)^2 x^2 - 3 t Q[2] x",
+    ])
+    def test_agrees_with_witness_model_on_theta_powers(self, text):
+        # theta generators raised to powers; each takes theta^2 generators
+        # and their powers into the embedded result
+        R = AmplifiedRing(theta_depth=2, word_depth=3)
+        M = WitnessModel(max_degree=6)
+        p = R.parse(text)
+        assert M.embed(R.theta(p)) == M.theta(M.embed(p))
+
     def test_dense_scalars_against_action_oracle(self):
         R = AmplifiedRing()
         std = standard_module()

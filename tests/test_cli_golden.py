@@ -1,0 +1,113 @@
+"""Byte-for-byte golden output of the command-line front end.
+
+Each case runs `cli.main` in process and compares stdout, stderr and the
+exit code with `tests/data/cli_golden.json`.  The cases cover every
+subcommand except `verify-all` (which `test_cli.py` checks), text and
+`--json` output, malformed payloads (exit 2) and argparse errors (exit 2).
+
+To regenerate the golden file after an intended change of output:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --write
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from powerops.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+CASES = [
+    ["nf", "Q1 Q0"],
+    ["nf", "Q1 Q0", "--json"],
+    ["nf", "a^2 Q2 Q2 Q0"],
+    ["nf", "Q3 bogus"],
+    ["mul", "Q1", "Q0"],
+    ["mul", "Q2 Q1", "a Q0", "--json"],
+    ["act", "Q0"],
+    ["act", "Q1", "--module", "omega"],
+    ["act", "Q1 Q2", "--vec", '[["1", "2"]]'],
+    ["act", "Q2", "--module", "omega x omega", "--json"],
+    ["act", "Q0", "--vec", '[["1"], ["2"]]'],
+    ["tensor", "omega", "omega^2"],
+    ["tensor", "omega", "R", "--json"],
+    ["tensor", "foo", "R"],
+    ["theta", "2"],
+    ["theta", "t x + Q[1] x"],
+    ["theta", "a x^2 - 3 t Q[2] x", "--json"],
+    ["theta", "(t Q[2] x)^2 - a t x"],
+    ["theta", "(a + 1) x"],
+    ["theta", "t^4 x"],
+    ["norm", "a - 3"],
+    ["norm", "a^2 + 1", "--json"],
+    ["norm", "d"],
+    ["ell", "1 + 2 a"],
+    ["ell", "1 + 2 a", "--prec2", "8", "--precA", "6", "--json"],
+    ["ell", "1 + 2a"],
+    ["ell", "a"],
+    ["koszul", "tor", "--k", "1"],
+    ["koszul", "tor", "--k", "1", "--json"],
+    ["tor", "--k", "2", "--field", "f2"],
+    ["tor", "--k", "-1"],
+    ["koszul", "acyclic", "--module", "omega", "--kmax", "2"],
+    ["koszul", "acyclic", "--module", "R", "--kmax", "2", "--field", "f2",
+     "--json"],
+    ["isogeny", "--order", "6"],
+    ["isogeny", "--order", "4", "--json"],
+    ["isogeny", "--order", "1"],
+    ["derive"],
+    ["derive", "--json"],
+    [],
+    ["bogus"],
+    ["nf"],
+    ["tor", "--k", "x"],
+    ["koszul", "tor", "--k", "1", "--field", "r"],
+]
+
+
+def run(argv):
+    """(stdout, stderr, exit code) of one in-process run of the CLI."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return {"argv": list(argv), "stdout": out.getvalue(),
+            "stderr": err.getvalue(), "code": code}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(autouse=True)
+def fixed_width(monkeypatch):
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def test_golden_file_lists_the_cases(golden):
+    assert [case["argv"] for case in golden] == CASES
+
+
+@pytest.mark.parametrize("index", range(len(CASES)),
+                         ids=[" ".join(argv) or "(none)" for argv in CASES])
+def test_output_is_byte_identical(golden, index):
+    assert run(CASES[index]) == golden[index]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_cli_golden.py --write")
+    os.environ["COLUMNS"] = "80"
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps([run(argv) for argv in CASES], indent=1,
+                                 ensure_ascii=False) + "\n")

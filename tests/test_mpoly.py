@@ -1,4 +1,4 @@
-"""Tests for multivariate integer polynomials."""
+"""Tests for sparse multivariate polynomials."""
 
 import random
 
@@ -6,6 +6,7 @@ import pytest
 
 from powerops.mpoly import MPoly
 from powerops.poly import Poly, A
+from powerops.tower import SFrac
 
 
 def test_constants_and_vars():
@@ -68,3 +69,25 @@ def test_string_form():
     assert str(x - 2 * y) == "x - 2 y"
     assert str(-x) == "- x"
     assert str(x * y + 1) == "1 + x y"
+
+
+def test_coefficients_from_other_rings():
+    # Z[a] and Z[1/2][a] coefficients; every other operand is a constant
+    x, y = MPoly.var("x"), MPoly.var("y")
+    p = (x + A) * (x - A)
+    assert p == x ** 2 - A * A
+    assert p.terms[()] == -(A * A)
+    assert str(p) == "(-a^2) + x^2"
+    half = SFrac(1, 0, 1)
+    q = (x * 2 + y * A) * half
+    assert q == x + y * SFrac(A, 0, 1)
+    assert q - x * Poly(1) == y * SFrac(A, 0, 1)
+    assert (q * 0).is_zero() and (q - q).is_zero()
+    both = MPoly.combination([(x, Poly(2)), (y, 3), (x, -2)])
+    assert both == 3 * y
+
+
+def test_constants_hash_as_their_coefficient():
+    assert MPoly.const(3) == 3 and hash(MPoly.const(3)) == hash(3)
+    assert {3: "v"}.get(MPoly.const(3)) == "v"
+    assert hash(MPoly()) == hash(0)

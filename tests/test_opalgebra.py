@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from powerops.opalgebra import (Operation, normal_form, multiply, psi,
+from powerops.opalgebra import (Operation, normal_form, psi,
                                 basis_of_degree, push_through, push_poly,
                                 parse_terms, check_confluence, GAMMA_RANKS)
 from powerops.poly import Poly, A, ONE
