@@ -45,7 +45,7 @@ product code with the engine.
 
 from __future__ import annotations
 
-from .poly import Poly, ZERO, ONE, A, power
+from .poly import Poly, ZERO, ONE, A, power, format_terms, summands
 from .tower import SFrac, S_ONE
 from .mpoly import MPoly
 from .opalgebra import (Operation, push_poly, push_through, psi,
@@ -217,45 +217,17 @@ class AmplifiedPoly:
         return sorted(self.terms.items(), key=key)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for mono, c in self.sorted_terms():
-            body_factors = []
-            for (j, word), e in mono:
-                name = []
-                if j == 1:
-                    name.append("t")
-                elif j > 1:
-                    name.append("t^%d" % j)
-                if word:
-                    name.append("Q[%s]" % " ".join(str(k) for k in word))
-                name.append("x")
-                factor = " ".join(name)
-                if e > 1:
-                    factor = "(%s)^%d" % (factor, e) if len(name) > 1 \
-                        else "%s^%d" % (factor, e)
-                body_factors.append(factor)
-            for exp in range(len(c.coeffs) - 1, -1, -1):
-                coeff = c[exp]
-                if coeff == 0:
-                    continue
-                bits = []
-                if abs(coeff) != 1 or (exp == 0 and not body_factors):
-                    bits.append(str(abs(coeff)))
-                if exp == 1:
-                    bits.append("a")
-                elif exp > 1:
-                    bits.append("a^%d" % exp)
-                bits.extend(body_factors)
-                if not bits:
-                    bits.append("1")
-                body = " ".join(bits)
-                if not chunks:
-                    chunks.append(body if coeff > 0 else "- " + body)
-                else:
-                    chunks.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(chunks)
+        def factor(gen, e):
+            j, word = gen
+            name = ["t" if j == 1 else "t^%d" % j] if j else []
+            if word:
+                name.append("Q[%s]" % " ".join(str(k) for k in word))
+            text = " ".join(name + ["x"])
+            if e == 1:
+                return text
+            return ("(%s)^%d" if name else "%s^%d") % (text, e)
+        return format_terms((c, " ".join(factor(g, e) for g, e in mono))
+                            for mono, c in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -435,81 +407,47 @@ class AmplifiedRing:
     # -- text input --------------------------------------------------------
 
     def parse(self, text: str) -> AmplifiedPoly:
-        """Parse sums of monomials like "3 a t^2 Q[1 2] x - (t x)^2"."""
-        text = text.replace("[", " [ ").replace("]", " ] ")
-        text = text.replace("(", " ( ").replace(")", " )")
-        tokens = text.replace("+", " + ").replace("-", " - ").split()
-        total = self.zero()
-        sign, coeff, factors, seen = 1, ONE, {}, False
-        theta_pending, word_pending, in_brackets = 0, None, False
-        group_open, held = False, None
+        """Parse sums of monomials like "3 a t^2 Q[1 2] x - (t x)^2".
 
-        def close_term():
-            nonlocal total, sign, coeff, factors, seen
-            nonlocal theta_pending, word_pending
-            if theta_pending or word_pending is not None or held is not None:
-                raise ValueError("dangling theta/Q prefix without x")
-            if seen:
-                mono = _sorted_mono(factors.items())
-                total = total + AmplifiedPoly(self, {mono: sign * coeff})
-            sign, coeff, factors, seen = 1, ONE, {}, False
+        The syntax is the one of `poly.summands` (README, "Input syntax").
+        The atoms are integers, `a`, and generators `t^j Q[w] x`, each
+        prefix optional but in that order; a generator alone in
+        parentheses may take a power.
+        """
+        def expected(what, tok):
+            return ValueError("expected %s, not %s" % (
+                what, repr(tok) if tok else "the end of the term"))
 
-        for tok in tokens:
-            if in_brackets:
-                if tok == "]":
-                    in_brackets = False
-                else:
-                    word_pending.append(int(tok))
-                continue
-            if tok == "+":
-                close_term()
-            elif tok == "-":
-                close_term()
-                sign = -1
-            elif tok == "[":
-                in_brackets = True
-                if word_pending is None:
-                    word_pending = []
-            elif tok == "(":
-                if group_open:
-                    raise ValueError("nested parentheses not supported")
-                group_open = True
-            elif tok == ")" or tok.startswith(")^"):
-                if not group_open or held is None:
-                    raise ValueError("unmatched closing parenthesis")
-                outer = int(tok[2:]) if tok.startswith(")^") else 1
-                g, e = held
-                factors[g] = factors.get(g, 0) + e * outer
-                group_open, held = False, None
-            elif tok == "Q":
-                word_pending = [] if word_pending is None else word_pending
-                seen = True
-            elif tok == "t" or tok.startswith("t^"):
-                theta_pending += int(tok[2:]) if tok.startswith("t^") else 1
-                seen = True
-            elif tok == "a" or tok.startswith("a^"):
-                k = int(tok[2:]) if tok.startswith("a^") else 1
-                if k < 0:
-                    raise ValueError("negative a-power")
-                coeff = coeff * Poly.a_power(k)
-                seen = True
-            elif tok == "x" or tok.startswith("x^"):
-                e = int(tok[2:]) if tok.startswith("x^") else 1
-                g = self._check_gen(theta_pending,
-                                    tuple(word_pending or ()))
-                if group_open:
-                    held = (g, e)
-                else:
-                    factors[g] = factors.get(g, 0) + e
-                theta_pending, word_pending = 0, None
-                seen = True
-            else:
-                coeff = coeff * int(tok)
-                seen = True
-        if in_brackets or group_open:
-            raise ValueError("unclosed bracket")
-        close_term()
-        return total
+        terms = {}
+        for coeff, factors in summands(text):
+            coeff, gens, rest = Poly(coeff), {}, iter(factors)
+            for tok, k in rest:
+                if tok.isdigit():
+                    coeff = coeff * int(tok) ** k
+                    continue
+                if tok == "a":
+                    coeff = coeff.shift(k)
+                    continue
+                group = tok == "("
+                if group:
+                    tok, k = next(rest, ("", 1))
+                j, word = 0, ()
+                if tok == "t":
+                    j, (tok, k) = k, next(rest, ("", 1))
+                if tok.startswith("Q[") and k == 1:
+                    word = tuple(int(c) for c in tok[2:-1].split())
+                    tok, k = next(rest, ("", 1))
+                if tok != "x":
+                    raise expected("a generator t^j Q[w] x", tok)
+                g = self._check_gen(j, word)
+                if group:
+                    tok, e = next(rest, ("", 1))
+                    if tok != ")":
+                        raise expected("')'", tok)
+                    k *= e
+                gens[g] = gens.get(g, 0) + k
+            _merge(terms, {_sorted_mono(gens.items()): coeff})
+        return _trusted(self, terms)
 
 
 # --- independent torsion-free model ----------------------------------------

@@ -51,7 +51,7 @@ def _emit_json(obj) -> None:
 def _operation(text: str) -> Operation:
     try:
         return normal_form(text)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise UsageError("cannot parse operation expression %r: %s"
                          % (text, exc))
 
@@ -198,10 +198,7 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_theta(args) -> int:
     ring = AmplifiedRing(theta_depth=3, word_depth=4)
-    try:
-        value = ring.theta(ring.parse(args.expr))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    value = ring.theta(ring.parse(args.expr))  # a ValueError exits 2
     if args.json:
         _emit_json({"input": args.expr, "theta": str(value)})
     else:
@@ -220,10 +217,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_ell(args) -> int:
     ctx = NormContext("Shat", prec2=args.prec2, precA=args.precA)
-    try:
-        value = ctx.log_ell(_base_ring_elem(args.expr))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    value = ctx.log_ell(_base_ring_elem(args.expr))  # a ValueError exits 2
     if args.json:
         _emit_json({"input": args.expr, "ell": str(value),
                     "prec2": args.prec2, "precA": args.precA})

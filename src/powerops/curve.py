@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .poly import Poly, ZERO, ONE, A
+from .poly import Poly, ZERO, ONE, A, format_terms
 from .series import Series
 from .tower import SFrac, S2Elem, S22Elem
 from .opalgebra import Operation, push_through, psi
@@ -336,14 +336,13 @@ def _combo_operation(terms: dict) -> Operation:
 
 
 def format_word_combo(terms: dict) -> str:
-    """Display {word: coeff} as e.g. "Q1 Q0 - 2 Q2 Q1 + 2 Q0 Q2"."""
-    op = Operation()
-    for word, c in terms.items():
-        key = (0, tuple(word))
-        op = op + Operation({key: c})
-    # words like (1, 0) are not admissible, so bypass straightening and
-    # reuse only the printer
-    return Operation.__str__(op)
+    """Display {word: coeff} as e.g. "Q1 Q0 - 2 Q2 Q1 + 2 Q0 Q2".
+
+    Words like (1, 0) are not admissible, so they are printed as they
+    stand, not straightened, in the order of `Operation.sorted_terms`."""
+    return format_terms((Poly(c), " ".join("Q%d" % k for k in w))
+                        for w, c in sorted(terms.items(),
+                                           key=lambda wc: (len(wc[0]), wc[0])))
 
 
 def derive_adem_and_psi() -> dict:

@@ -27,7 +27,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .poly import Poly, A, ONE, ZERO
+from .poly import Poly, A, ONE, ZERO, format_terms, summands
 
 __all__ = ["Operation", "normal_form", "psi", "basis_of_degree",
            "push_through", "push_poly", "parse_terms", "check_confluence",
@@ -305,32 +305,8 @@ class Operation:
         return Operation(terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (j, w), c in self.sorted_terms():
-            mono = " ".join(["Q0"] * j + ["Q%d" % k for k in w])
-            for exp in range(len(c.coeffs) - 1, -1, -1):
-                coeff = c[exp]
-                if coeff == 0:
-                    continue
-                bits = []
-                if abs(coeff) != 1 or (exp == 0 and not mono):
-                    bits.append(str(abs(coeff)))
-                if exp == 1:
-                    bits.append("a")
-                elif exp > 1:
-                    bits.append("a^%d" % exp)
-                if mono:
-                    bits.append(mono)
-                if not bits:
-                    bits.append("1")
-                body = " ".join(bits)
-                if not chunks:
-                    chunks.append(body if coeff > 0 else "- " + body)
-                else:
-                    chunks.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(chunks)
+        return format_terms((c, " ".join(["Q0"] * j + ["Q%d" % k for k in w]))
+                            for (j, w), c in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -356,37 +332,21 @@ def basis_of_degree(k: int):
 def parse_terms(text: str):
     """Parse "3 Q0 a Q1 - 2 Q2" into [(3, ['Q0','a','Q1']), (-2, ['Q2'])].
 
-    Tokens: integers (coefficient prefixes), `a` (also `a^k`), `Q0`, `Q1`,
-    `Q2`; summands separated by + and -.
+    The syntax is the one of `poly.summands` (README, "Input syntax"); the
+    atoms are integers, `a`, `Q0`, `Q1` and `Q2`, and a power repeats its
+    atom.
     """
-    tokens = text.replace("+", " + ").replace("-", " - ").split()
     terms = []
-    sign, coeff, letters = 1, 1, []
-    seen = False
-
-    def flush():
-        nonlocal sign, coeff, letters, seen
-        if seen:
-            terms.append((sign * coeff, letters))
-        sign, coeff, letters, seen = 1, 1, [], False
-
-    for tok in tokens:
-        if tok == "+":
-            flush()
-        elif tok == "-":
-            flush()
-            sign = -1
-        elif tok in ("Q0", "Q1", "Q2"):
-            letters.append(tok)
-            seen = True
-        elif tok == "a" or tok.startswith("a^"):
-            k = int(tok[2:]) if tok.startswith("a^") else 1
-            letters.extend(["a"] * k)
-            seen = True
-        else:
-            coeff *= int(tok)
-            seen = True
-    flush()
+    for coeff, factors in summands(text):
+        letters = []
+        for tok, k in factors:
+            if tok.isdigit():
+                coeff *= int(tok) ** k
+            elif tok in ("a", "Q0", "Q1", "Q2"):
+                letters += [tok] * k
+            else:
+                raise ValueError("unknown symbol %r" % tok)
+        terms.append((coeff, letters))
     return terms
 
 

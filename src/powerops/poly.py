@@ -8,10 +8,12 @@ anywhere.
 
 from __future__ import annotations
 
+import re
 from itertools import repeat
 from operator import add, mul, neg
 
-__all__ = ["Poly", "ZERO", "ONE", "A", "DISC", "power"]
+__all__ = ["Poly", "ZERO", "ONE", "A", "DISC", "power", "summands",
+           "format_terms"]
 
 
 def _trim(coeffs):
@@ -288,6 +290,73 @@ def power(x, n: int, one):
         if bit == "1":
             out = out * x
     return out
+
+
+# --- text: every form is a signed sum of products of atoms ----------------
+
+_LEXEME = re.compile(r"""\s*(?:
+      (?P<op>[-+*])
+    | (?P<open>\()
+    | (?P<atom>\d+ | [A-Za-z]\w*'?(?:\[[\d\s]*\])? | \))
+      (?:\^(?P<power>\d+))? (?![\w'[^])
+    | \Z)""", re.ASCII | re.VERBOSE)
+
+
+def summands(text: str):
+    """Split a sum into [(sign, [(token, power), ...]), ...].
+
+    Summands are separated by `+` and `-`, and consecutive signs compose
+    (`a - - 1` is a + 1).  Factors are separated by whitespace or `*`.  An
+    atom is an unsigned integer, a name (`a`, `Q1`, `d'`, `Q[1 2]`), `(` or
+    `)`; each but `(` may take `^k`, an unsigned integer written directly
+    after it (the power is 1 without one).  Anything else raises ValueError.
+    """
+    out, sign, factors, pending, pos = [], 1, None, "", 0
+    while True:
+        m = _LEXEME.match(text, pos)
+        if m is None:
+            raise ValueError("unexpected %r" % text[pos:].split()[0])
+        pos, op = m.end(), m.group("op")
+        atom = m.group("open") or m.group("atom")
+        if atom:
+            if factors is None:
+                factors = []
+                out.append((sign, factors))
+            factors.append((atom, int(m.group("power") or 1)))
+        elif pending == "*" or op == "*" and (pending or factors is None):
+            raise ValueError("'*' needs a factor on each side")
+        elif op == "-" or op == "+":
+            if factors is not None:
+                factors, sign = None, 1
+            if op == "-":
+                sign = -sign
+        elif pending:
+            raise ValueError("%r at the end has no term" % pending)
+        elif not op:
+            return out
+        pending = op or ""
+
+
+def format_terms(pairs) -> str:
+    """Print [(c, body), ...], c in Z[a] and bodies in display order, as a
+    sum "3 a^2 Q1 - Q2 + 1": each a^k term of c is one chunk "n a^k body",
+    highest k first, with n omitted when it is 1 and there is a body."""
+    chunks = []
+    for c, body in pairs:
+        for k in range(len(c.coeffs) - 1, -1, -1):
+            n = c.coeffs[k]
+            if not n:
+                continue
+            bits = [str(abs(n))] if abs(n) != 1 or not (k or body) else []
+            if k:
+                bits.append("a" if k == 1 else "a^%d" % k)
+            if body:
+                bits.append(body)
+            chunks.append(("+ " if n > 0 else "- ") + " ".join(bits))
+    if not chunks:
+        return "0"
+    text = " ".join(chunks)
+    return text[2:] if text[0] == "+" else text
 
 
 def _trusted(coeffs: tuple) -> Poly:

@@ -15,7 +15,7 @@ equality is tuple equality.
 
 from __future__ import annotations
 
-from .poly import Poly, DISC, ONE, ZERO, power
+from .poly import Poly, DISC, ONE, ZERO, power, summands
 
 __all__ = ["SFrac", "S2Elem", "S22Elem", "tower_reduce", "parse_tower_expr"]
 
@@ -528,47 +528,25 @@ def tower_reduce(monomials) -> S22Elem:
     return S22Elem(_reduce_dprime(table))
 
 
+_TOWER_ATOMS = {"a": 0, "d": 1, "d'": 2}
+
+
 def parse_tower_expr(text: str) -> S22Elem:
     """Parse e.g. "d^4 - 2 a d' + 3" into a reduced element.
 
-    Tokens: integers, `a`, `d`, `d'`, each optionally with `^k`; summands are
-    separated by + and -.
+    The syntax is the one of `poly.summands` (README, "Input syntax"); the
+    atoms are integers, `a`, `d` and `d'`.
     """
-    tokens = text.replace("+", " + ").replace("-", " - ").split()
     terms = {}
-    sign, coeff, expo = 1, None, [0, 0, 0]
-
-    def flush():
-        nonlocal sign, coeff, expo
-        if coeff is None and expo == [0, 0, 0]:
-            return
-        c = sign * (1 if coeff is None else coeff)
+    for coeff, factors in summands(text):
+        expo = [0, 0, 0]
+        for tok, k in factors:
+            if tok.isdigit():
+                coeff *= int(tok) ** k
+            elif tok in _TOWER_ATOMS:
+                expo[_TOWER_ATOMS[tok]] += k
+            else:
+                raise ValueError("unknown symbol %r" % tok)
         key = tuple(expo)
-        terms[key] = terms.get(key, 0) + c
-        sign, coeff, expo = 1, None, [0, 0, 0]
-
-    started = False
-    for tok in tokens:
-        if tok == "+":
-            flush()
-            started = False
-            continue
-        if tok == "-":
-            flush()
-            sign = -1
-            started = False
-            continue
-        base, _, power = tok.partition("^")
-        k = int(power) if power else 1
-        if base == "a":
-            expo[0] += k
-        elif base == "d":
-            expo[1] += k
-        elif base == "d'":
-            expo[2] += k
-        else:
-            coeff = (1 if coeff is None else coeff) * int(base) ** k
-        started = True
-    if started or coeff is not None:
-        flush()
+        terms[key] = terms.get(key, 0) + coeff
     return tower_reduce(terms)

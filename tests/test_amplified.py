@@ -354,17 +354,28 @@ class TestParsing:
         R = AmplifiedRing(theta_depth=3, word_depth=3)
         rng = random.Random(606)
         samples = [R.q(1, R.theta(R.x())), R.theta(R.theta(R.x())),
-                   R.q(0, R.x() * R.x())]
+                   R.q(0, R.x() * R.x()), R.zero(), R.const(-A ** 3 + 9),
+                   -(R.gen(2, (1, 2)) ** 3) * R.x() ** 2 * R.const(A - 4)]
         samples += [rand_window_poly(R, rng) for _ in range(10)]
         for p in samples:
             assert R.parse(str(p)) == p
 
     def test_parse_errors(self):
         R = AmplifiedRing()
-        with pytest.raises(ValueError):
-            R.parse("t + x")
-        with pytest.raises(ValueError):
-            R.parse("Q[1 x")
+        for text in ["t + x", "Q[1 x", "(a + 1) x", "(x", "x)", "(2 x)^2",
+                     "x^-2", "a^-1 x", "Q[1]^2 x", "y"]:
+            with pytest.raises(ValueError):
+                R.parse(text)
+
+    def test_generator_prefix_order(self):
+        # A generator is written t^j Q[w] x, as str prints it.  Q1(theta x)
+        # is a different element, so "Q[1] t x" must not be read as either.
+        R = AmplifiedRing()
+        assert R.parse("t Q[1] x") == R.gen(1, (1,))
+        assert len(R.q(1, R.theta(R.x())).terms) == 6
+        for text in ["Q[1] t x", "t t x", "t Q[1] t x"]:
+            with pytest.raises(ValueError):
+                R.parse(text)
 
 
 class TestScalarContinuity:

@@ -141,6 +141,13 @@ class TestScalarOperators:
         assert code == 0
         assert out == "-a^3 + 9*a^2 - 27*a + 27\n"
 
+    def test_norm_reads_its_own_output(self, capsys):
+        _, first, _ = run_cli(capsys, "norm", "a - 3")
+        code, out, _ = run_cli(capsys, "norm", first.strip())
+        assert code == 0
+        norm = NormContext("R").norm_N
+        assert out == "%s\n" % norm(norm(Poly([-3, 1])))
+
     def test_norm_rejects_tower_elements(self, capsys):
         code, _, err = run_cli(capsys, "norm", "d")
         assert code == 2
@@ -159,6 +166,39 @@ class TestScalarOperators:
         code, _, err = run_cli(capsys, "ell", "2 a")
         assert code == 2
         assert "unit" in err
+
+
+class TestInputSyntax:
+    # (argv, exit code, argv with the same output or None).  Consecutive
+    # signs compose, `*` separates factors, a power is an unsigned integer
+    # written directly after its atom, and a generator reads t^j Q[w] x.
+    CASES = [
+        (["norm", "a -- 1"], 0, ["norm", "a + 1"]),
+        (["nf", "Q1 - - Q2"], 0, ["nf", "Q1 + Q2"]),
+        (["theta", "x - - x"], 0, ["theta", "x + x"]),
+        (["nf", "2*a Q1"], 0, ["nf", "2 a Q1"]),
+        (["norm", "-a^3 + 9*a^2 - 27*a + 27"], 0,
+         ["norm", "- a^3 + 9 a^2 - 27 a + 27"]),
+        (["norm", "a^-1"], 2, None),
+        (["norm", "a^ 2"], 2, None),
+        (["norm", "2a"], 2, None),
+        (["ell", "1 + 2a"], 2, None),
+        (["nf", "Q1 +"], 2, None),
+        (["nf", "Q1 * * Q2"], 2, None),
+        (["theta", "x^-2"], 2, None),
+        (["theta", "a^-1 x"], 2, None),
+        (["theta", "Q[1] t x"], 2, None),
+    ]
+
+    @pytest.mark.parametrize("argv, code, same_as", CASES,
+                             ids=[" ".join(c[0]) for c in CASES])
+    def test_exit_code_and_value(self, capsys, argv, code, same_as):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+        if same_as is not None:
+            assert out == run_cli(capsys, *same_as)[1] != ""
 
 
 class TestKoszulCommands:

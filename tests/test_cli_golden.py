@@ -28,6 +28,7 @@ CASES = [
     ["nf", "Q1 Q0", "--json"],
     ["nf", "a^2 Q2 Q2 Q0"],
     ["nf", "Q3 bogus"],
+    ["nf", "2*a Q1"],
     ["mul", "Q1", "Q0"],
     ["mul", "Q2 Q1", "a Q0", "--json"],
     ["act", "Q0"],
@@ -44,9 +45,12 @@ CASES = [
     ["theta", "(t Q[2] x)^2 - a t x"],
     ["theta", "(a + 1) x"],
     ["theta", "t^4 x"],
+    ["theta", "Q[1] t x"],
     ["norm", "a - 3"],
     ["norm", "a^2 + 1", "--json"],
     ["norm", "d"],
+    ["norm", "-a^3 + 9*a^2 - 27*a + 27"],
+    ["norm", "a -- 1"],
     ["ell", "1 + 2 a"],
     ["ell", "1 + 2 a", "--prec2", "8", "--precA", "6", "--json"],
     ["ell", "1 + 2a"],

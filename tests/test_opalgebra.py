@@ -180,8 +180,10 @@ class TestParsing:
 
     def test_roundtrip_random(self):
         rng = random.Random(99)
-        for _ in range(20):
-            x = rand_operation(rng)
+        samples = [psi(), normal_form("Q1 Q0"), -psi() * normal_form("a"),
+                   Operation.from_poly(-A ** 3 + 9 * A * A - 1), Operation()]
+        samples += [rand_operation(rng) for _ in range(20)]
+        for x in samples:
             assert normal_form(str(x)) == x
 
     def test_json_roundtrip(self):

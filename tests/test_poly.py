@@ -1,8 +1,9 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from powerops.poly import Poly, A, DISC, ONE, ZERO
+from powerops.poly import Poly, A, DISC, ONE, ZERO, summands
 
 
 def rand_poly(rng, deg=5, size=9):
@@ -126,3 +127,14 @@ def test_fast_paths_equal_general_path(xs, ys, n, k):
     for got, want in cases:
         assert_canonical(got)
         assert got.coeffs == want.coeffs
+
+
+def test_summands_grammar():
+    assert summands("") == []
+    assert summands("- 9*a^2 Q[1 2] + -d'^3 (t x)^2") == [
+        (-1, [("9", 1), ("a", 2), ("Q[1 2]", 1)]),
+        (-1, [("d'", 3), ("(", 1), ("t", 1), ("x", 1), (")", 2)])]
+    for text in ["a^-1", "a^ 2", "a ^2", "2a", "a +", "* a", "a * * b",
+                 "a - * b", "Q[1 x", "a % b", "(^2"]:
+        with pytest.raises(ValueError):
+            summands(text)

@@ -90,6 +90,17 @@ def test_parse_tower_expr():
         {(0, 1, 0): -1, (0, 0, 0): 2})
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8))
+def test_parse_reads_what_poly_prints(coeffs):
+    # str(Poly) writes "9*a^2" and a leading "-a"; both must read back.
+    p = Poly(coeffs)
+    elem = parse_tower_expr(str(p))
+    for j in range(3):
+        for k in range(3):
+            assert elem.c[j][k] == (SFrac(p) if (j, k) == (0, 0) else 0)
+
+
 def test_sfrac_minimal_form():
     # (a^3 - 27)/D collapses to 1
     x = SFrac(DISC, 1)
