@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .poly import Poly
+from .poly import Poly, summands
 from .opalgebra import Operation, normal_form
 from .opmodules import (ModulePresentation, standard_module, omega_power,
                         tensor, act, check_well_defined)
@@ -75,28 +75,30 @@ def _base_ring_elem(text: str) -> Poly:
     return elem.c[0][0].num
 
 
-def _module_atom(name: str) -> ModulePresentation:
-    if name == "R":
-        return standard_module()
-    if name == "omega":
-        return omega_power(1)
-    if name.startswith("omega^"):
-        try:
-            n = int(name[6:])
-        except ValueError:
-            raise UsageError("bad module name %r" % name)
-        if n < 0:
-            raise UsageError("omega power must be nonnegative")
-        return omega_power(n)
-    raise UsageError("unknown module %r (use R, omega, or omega^N)" % name)
-
-
 def _module_spec(text: str) -> ModulePresentation:
-    """R | omega | omega^N, or tensors joined with `x`: "omega x omega^2"."""
-    parts = text.split("x")
-    mod = _module_atom(parts[0].strip())
-    for part in parts[1:]:
-        mod = tensor(mod, _module_atom(part.strip()))
+    """R | omega | omega^N, or tensors joined with `x`: "omega x omega^2".
+
+    The name is read by the one grammar (`poly.summands`): a single
+    summand whose factors alternate between a module atom and `x`.
+    """
+    try:
+        terms = summands(text)
+    except ValueError as exc:
+        raise UsageError("bad module name %r: %s" % (text, exc))
+    factors = terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else []
+    if len(factors) % 2 == 0 or any(f != ("x", 1) for f in factors[1::2]):
+        raise UsageError("bad module name %r (join modules with x, as in "
+                         "'omega x R')" % text)
+    mod = None
+    for name, n in factors[::2]:
+        if name == "omega":
+            atom = omega_power(n)
+        elif (name, n) == ("R", 1):
+            atom = standard_module()
+        else:
+            raise UsageError("unknown module %r (use R, omega, or omega^N)"
+                             % (name if n == 1 else "%s^%d" % (name, n)))
+        mod = atom if mod is None else tensor(mod, atom)
     return mod
 
 
@@ -124,6 +126,7 @@ def _vector(m: ModulePresentation, text: str):
 
 # --- formatting -------------------------------------------------------------
 
+_LABELS = {"z": "Z", "q": "Q", "f2": "F2"}
 _RING_NAMES = {"Z": "Z", "Q": "Q[a]", "F2": "F2[a]"}
 
 
@@ -226,15 +229,9 @@ def _cmd_ell(args) -> int:
     return 0
 
 
-def _tor_report(k: int, field: str):
-    label = {"z": "Z", "q": "Q", "f2": "F2"}[field]
-    report = tor_gamma_mod_I(k)
-    return label, report
-
-
 def _cmd_tor(args) -> int:
-    label, report = _tor_report(args.k, args.field)
-    slices = report[label]
+    label = _LABELS[args.field]
+    slices = tor_gamma_mod_I(args.k)[label]
     if args.json:
         _emit_json({"k": args.k, "field": label, "positions": slices})
         return 0
@@ -254,7 +251,7 @@ def _cmd_acyclic(args) -> int:
     if args.json:
         _emit_json(report)
         return 0 if report["ok"] else 1
-    label = {"q": "Q", "f2": "F2"}[args.field]
+    label = _LABELS[args.field]
     print("module rank %d over %s[a], degree caps 1..%d"
           % (report["module_rank"], label, args.kmax))
     for cap in sorted(report["caps"]):

@@ -18,6 +18,11 @@ with r corresponding to sum_t x_t y_t = 0 (the relation written with left
 coefficients).  Truncating by word degree gives finite free complexes whose
 blocks are matrices over Z[a]; homology is read off after base change to a
 principal ideal domain (Q[a], F2[a], or Z when a block is constant).
+
+Tensoring with Gamma/I kills every summand of positive Gamma-degree, so the
+reduced complex 0 -> K2 (.) M -> K1 (.) M -> M -> 0 that computes
+Tor(Gamma/I, M) is the Gamma-degree-0 corner of the same matrices: the
+leading g x 3g block of d1 and 3g x 2g block of d2, g the rank of M.
 """
 
 from __future__ import annotations
@@ -66,24 +71,19 @@ def _mono(key) -> Operation:
     return Operation({key: ONE})
 
 
-def _poly_mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for i in range(a.m):
-        arow = a.rows[i]
-        row = []
-        for j in range(b.n):
-            acc = ZERO
-            for t in range(a.n):
-                x = arow[t]
-                if not x.is_zero():
-                    acc = acc + x * b.rows[t][j]
-            row.append(acc)
-        rows.append(row)
-    return Matrix(a.m, b.n, rows)
+def _columns(m: int, cols) -> Matrix:
+    """The m-row matrix with the given columns."""
+    return Matrix(m, len(cols), [[col[r] for col in cols] for r in range(m)])
 
 
-def _poly_mat_is_zero(m: Matrix) -> bool:
-    return all(e.is_zero() for row in m.rows for e in row)
+def _block(mat: Matrix, m: int, n: int) -> Matrix:
+    """The leading m x n block of mat."""
+    return Matrix(m, n, [row[:n] for row in mat.rows[:m]])
+
+
+def _composes_to_zero(a: Matrix, b: Matrix) -> bool:
+    """Whether a b = 0 exactly, for matrices over Z[a]."""
+    return not any(any(row) for row in mat_mul(ZZ, a, b).rows)
 
 
 class TruncatedComplex:
@@ -136,25 +136,19 @@ class TruncatedComplex:
     # -- assembly -----------------------------------------------------------
 
     def _build_d0(self) -> Matrix:
-        g = self.module.rank
-        cols = []
-        for key, l in self.p0_basis:
-            cols.append(act(self.module, _mono(key),
-                            self.module.basis_vector(l)))
-        return Matrix(g, len(cols),
-                      [[cols[c][r] for c in range(len(cols))]
-                       for r in range(g)])
+        return _columns(self.module.rank,
+                        [act(self.module, _mono(key),
+                             self.module.basis_vector(l))
+                         for key, l in self.p0_basis])
 
-    def _add_op(self, out, op: Operation, tail, index, scale=None):
+    def _add_op(self, out, op: Operation, tail, index):
         """Accumulate coefficient * (monomial, *tail) for each term of op."""
         for key, coeff in op.terms.items():
-            if scale is not None:
-                coeff = coeff * scale
             idx = index[(key,) + tail]
             out[idx] = out[idx] + coeff
 
     def _build_d1(self) -> Matrix:
-        n0, n1 = len(self.p0_basis), len(self.p1_basis)
+        n0 = len(self.p0_basis)
         cols = []
         for key, i, l in self.p1_basis:
             gamma = _mono(key)
@@ -168,11 +162,10 @@ class TruncatedComplex:
                 idx = self._p0_index[(mkey, l)]
                 out[idx] = out[idx] - coeff
             cols.append(out)
-        return Matrix(n0, n1, [[cols[c][r] for c in range(n1)]
-                               for r in range(n0)])
+        return _columns(n0, cols)
 
     def _build_d2(self) -> Matrix:
-        n1, n2 = len(self.p1_basis), len(self.p2_basis)
+        n1 = len(self.p1_basis)
         cols = []
         for key, s, l in self.p2_basis:
             gamma = _mono(key)
@@ -189,8 +182,7 @@ class TruncatedComplex:
                             self._add_op(out, gamma * (c_rel * c), (gi, t),
                                          self._p1_index)
             cols.append(out)
-        return Matrix(n1, n2, [[cols[c][r] for c in range(n2)]
-                               for r in range(n1)])
+        return _columns(n1, cols)
 
     # -- access -------------------------------------------------------------
 
@@ -200,15 +192,13 @@ class TruncatedComplex:
             raise ValueError("cap %d exceeds stored k_max %d"
                              % (cap, self.k_max))
         n0, n1, n2 = self.p0_size(cap), self.p1_size(cap), self.p2_size(cap)
-        d0 = Matrix(self.d0.m, n0, [row[:n0] for row in self.d0.rows])
-        d1 = Matrix(n0, n1, [row[:n1] for row in self.d1.rows[:n0]])
-        d2 = Matrix(n1, n2, [row[:n2] for row in self.d2.rows[:n1]])
-        return d0, d1, d2
+        return (_block(self.d0, self.d0.m, n0), _block(self.d1, n0, n1),
+                _block(self.d2, n1, n2))
 
     def d_squared_checks(self):
         """Exact d0 d1 = 0 and d1 d2 = 0 over Z[a] for the full matrices."""
-        return (_poly_mat_is_zero(_poly_mat_mul(self.d0, self.d1)),
-                _poly_mat_is_zero(_poly_mat_mul(self.d1, self.d2)))
+        return (_composes_to_zero(self.d0, self.d1),
+                _composes_to_zero(self.d1, self.d2))
 
 
 def build_complex(module: ModulePresentation, k_max: int) -> TruncatedComplex:
@@ -225,6 +215,15 @@ def _fmt_pair(ring, pair):
     return {"free": free, "divisors": [ring.format(d) for d in divs]}
 
 
+def _homology_triple(ring, d1: Matrix, d2: Matrix):
+    """Homology (h0, h1, h2) of 0 -> P2 --d2--> P1 --d1--> P0 -> 0 after
+    base change of the Z[a] matrices d1 and d2 to ring."""
+    r1, r2 = _coerced(ring, d1), _coerced(ring, d2)
+    return (homology(ring, Matrix(0, r1.m, []), r1),
+            homology(ring, r1, r2),
+            homology(ring, r2, Matrix(r2.n, 0, [[] for _ in range(r2.n)])))
+
+
 def acyclicity_check(module: ModulePresentation, k_max: int,
                      field: str = "q") -> dict:
     """Homology of every cap-j subcomplex after base change to field[a].
@@ -239,12 +238,8 @@ def acyclicity_check(module: ModulePresentation, k_max: int,
     caps_report = {}
     ok = True
     for cap in range(1, k_max + 1):
-        d0, d1, d2 = cx.caps(cap)
-        r1 = _coerced(ring, d1)
-        r2 = _coerced(ring, d2)
-        h0 = homology(ring, Matrix(0, r1.m, []), r1)
-        h1 = homology(ring, r1, r2)
-        h2 = homology(ring, r2, Matrix(r2.n, 0, [[] for _ in range(r2.n)]))
+        _, d1, d2 = cx.caps(cap)
+        h0, h1, h2 = _homology_triple(ring, d1, d2)
         cap_ok = (h1 == (0, []) and h2 == (0, []) and h0 == (g, []))
         ok = ok and cap_ok
         caps_report[cap] = {"h0": _fmt_pair(ring, h0),
@@ -263,10 +258,7 @@ def truncation_stability_check(module: ModulePresentation, caps,
     seen = []
     for cap in caps:
         _, d1, d2 = cx.caps(cap)
-        r1, r2 = _coerced(ring, d1), _coerced(ring, d2)
-        h1 = homology(ring, r1, r2)
-        h2 = homology(ring, r2, Matrix(r2.n, 0, [[] for _ in range(r2.n)]))
-        seen.append((h1, h2))
+        seen.append(_homology_triple(ring, d1, d2)[1:])
     stable = all(s == seen[0] for s in seen)
     return {"caps": list(caps), "values": [
         {"h1": _fmt_pair(ring, h1), "h2": _fmt_pair(ring, h2)}
@@ -280,31 +272,13 @@ def reduced_matrices(module: ModulePresentation):
 
     Tensoring the resolution with Gamma/I collapses the Gamma factor to R,
     killing every term whose left factor has positive word degree (in
-    particular left coefficients a Q_j); what survives of d2 is its
-    right-action half, with module coefficients pushed through the twisted
-    K1 action.
+    particular left coefficients a Q_j).  What survives is the
+    Gamma-degree-0 corner of the resolution: the first g, 3g and 2g basis
+    elements of positions 0, 1 and 2.
     """
     g = module.rank
-    d1 = Matrix(g, 3 * g,
-                [[module.column(i, l)[t] for i in range(3) for l in range(g)]
-                 for t in range(g)])
-    cols = []
-    for s in range(2):
-        for l in range(g):
-            out = [ZERO] * (3 * g)
-            for c_rel, i, j in RELATIONS[s]:
-                w = module.column(j, l)
-                for t, p in enumerate(w):
-                    if p.is_zero():
-                        continue
-                    for gi, c in enumerate(push_poly(i, p)):
-                        if not c.is_zero():
-                            idx = gi * g + t
-                            out[idx] = out[idx] + c_rel * c
-            cols.append(out)
-    d2 = Matrix(3 * g, 2 * g, [[cols[c][r] for c in range(2 * g)]
-                               for r in range(3 * g)])
-    return d1, d2
+    cx = build_complex(module, 2)
+    return _block(cx.d1, g, 3 * g), _block(cx.d2, 3 * g, 2 * g)
 
 
 def tor_reduced(module: ModulePresentation) -> dict:
@@ -313,22 +287,18 @@ def tor_reduced(module: ModulePresentation) -> dict:
     Returns positions 0, 1, 2 over Q[a] and F2[a], and over Z whenever
     every matrix entry is constant (otherwise the Z slice is None).
     """
-    _require_well_defined(module)
     d1, d2 = reduced_matrices(module)
-    assert _poly_mat_is_zero(_poly_mat_mul(d1, d2))
+    if not _composes_to_zero(d1, d2):
+        raise ArithmeticError("the reduced differentials do not compose "
+                              "to zero")
     report = {"module_rank": module.rank,
               "d1": [[str(e) for e in row] for row in d1.rows],
-              "d2": [[str(e) for e in row] for row in d2.rows]}
-    for label, ring in (("Z", ZZ), ("Q", QA), ("F2", F2A)):
-        try:
-            r1, r2 = _coerced(ring, d1), _coerced(ring, d2)
-        except ValueError:
-            report[label] = None
-            continue
-        h0 = homology(ring, Matrix(0, r1.m, []), r1)
-        h1 = homology(ring, r1, r2)
-        h2 = homology(ring, r2, Matrix(r2.n, 0, [[] for _ in range(r2.n)]))
-        report[label] = [_fmt_pair(ring, h) for h in (h0, h1, h2)]
+              "d2": [[str(e) for e in row] for row in d2.rows], "Z": None}
+    constant = all(e.degree() <= 0 for row in d1.rows + d2.rows for e in row)
+    slices = (("Z", ZZ),) if constant else ()
+    for label, ring in slices + (("Q", QA), ("F2", F2A)):
+        report[label] = [_fmt_pair(ring, h)
+                         for h in _homology_triple(ring, d1, d2)]
     return report
 
 
@@ -343,14 +313,15 @@ def tor_gamma_mod_I(k: int) -> dict:
 
 # --- identification of K2 inside degree 2 -----------------------------------
 
-def _rho_vectors():
-    vecs = []
+def _rho_matrix() -> Matrix:
+    """The relations as the columns of a 9 x 2 matrix on Q_i (x) Q_j."""
+    cols = []
     for terms in RELATIONS:
         v = [ZERO] * 9
         for c, i, j in terms:
             v[3 * i + j] = v[3 * i + j] + c
-        vecs.append(v)
-    return vecs
+        cols.append(v)
+    return _columns(9, cols)
 
 
 def identification_check() -> dict:
@@ -370,28 +341,18 @@ def identification_check() -> dict:
             for key, coeff in prod.terms.items():
                 col[idx2[key]] = coeff
             cols.append(col)
-    mult = Matrix(len(deg2), 9, [[cols[c][r] for c in range(9)]
-                                 for r in range(len(deg2))])
-    rhos = _rho_vectors()
-    killed = True
-    for rho in rhos:
-        for r in range(mult.m):
-            acc = ZERO
-            for t in range(9):
-                acc = acc + mult.rows[r][t] * rho[t]
-            killed = killed and acc.is_zero()
+    mult = _columns(len(deg2), cols)
+    rho = _rho_matrix()
+    killed = _composes_to_zero(mult, rho)
 
     def _rank(ring, mat):
         snf, _, _ = smith_normal_form(ring, mat)
         return len(diagonal_invariants(ring, snf))
 
-    q_mult = _coerced(QA, mult)
-    kb = kernel_basis(QA, q_mult)
-    rho_q = [[QA.coerce(x) for x in rho] for rho in rhos]
-    span = Matrix(9, 2, [[rho_q[c][r] for c in range(2)] for r in range(9)])
+    kb = kernel_basis(QA, _coerced(QA, mult))
+    span = _coerced(QA, rho)
     both = Matrix(9, 2 + len(kb),
-                  [[rho_q[c][r] for c in range(2)] + [k[r] for k in kb]
-                   for r in range(9)])
+                  [span.rows[r] + [k[r] for k in kb] for r in range(9)])
     rank_span = _rank(QA, span)
     rank_both = _rank(QA, both)
     ok = killed and len(kb) == 2 and rank_span == 2 and rank_both == 2

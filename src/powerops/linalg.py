@@ -233,20 +233,21 @@ def ring_by_name(name: str):
 
 
 def mat_mul(ring, a: Matrix, b: Matrix) -> Matrix:
+    """a @ b in row order: each nonzero a[i][t] adds a[i][t] * (row t of b)
+    into row i, over the nonzero entries of that row only."""
     if a.n != b.m:
         raise ValueError("inner dimensions differ: %d vs %d" % (a.n, b.m))
+    is_zero, add, mul = ring.is_zero, ring.add, ring.mul
+    b_rows = [[(j, y) for j, y in enumerate(row) if not is_zero(y)]
+              for row in b.rows]
     rows = []
-    for i in range(a.m):
-        arow = a.rows[i]
-        row = []
-        for j in range(b.n):
-            acc = ring.zero
-            for t in range(a.n):
-                x = arow[t]
-                if not ring.is_zero(x):
-                    acc = ring.add(acc, ring.mul(x, b.rows[t][j]))
-            row.append(acc)
-        rows.append(row)
+    for arow in a.rows:
+        acc = [ring.zero] * b.n
+        for x, brow in zip(arow, b_rows):
+            if not is_zero(x):
+                for j, y in brow:
+                    acc[j] = add(acc[j], mul(x, y))
+        rows.append(acc)
     return Matrix(a.m, b.n, rows)
 
 
@@ -364,10 +365,6 @@ def diagonal_invariants(ring, snf: Matrix):
 
 def kernel_basis(ring, mat: Matrix):
     """Columns of a basis of ker(mat) as lists of ring elements."""
-    if mat.n == 0:
-        return []
-    if mat.m == 0:
-        return [Matrix.identity(mat.n, ring).column(j) for j in range(mat.n)]
     snf, v, _ = smith_normal_form(ring, mat, track=True)
     r = len(diagonal_invariants(ring, snf))
     return [v.column(j) for j in range(r, mat.n)]
@@ -383,26 +380,13 @@ def homology(ring, d_out: Matrix, d_in: Matrix):
     if d_out.n != d_in.m:
         raise ValueError("position dimensions differ: %d vs %d"
                          % (d_out.n, d_in.m))
-    n1 = d_out.n
-    if n1 == 0:
-        return (0, [])
-    if d_out.m == 0:
-        r = 0
-        w = d_in
-    else:
-        snf, _, vinv = smith_normal_form(ring, d_out, track=True)
-        r = len(diagonal_invariants(ring, snf))
-        w = mat_mul(ring, vinv, d_in)
-    k = n1 - r
+    snf, _, vinv = smith_normal_form(ring, d_out, track=True)
+    r = len(diagonal_invariants(ring, snf))
+    w = mat_mul(ring, vinv, d_in)
     for i in range(r):
-        for j in range(d_in.n):
-            if not ring.is_zero(w.rows[i][j]):
-                raise ValueError("maps do not compose to zero")
-    if k == 0:
-        return (0, [])
-    if d_in.n == 0:
-        return (k, [])
-    x = Matrix(k, d_in.n, w.rows[r:])
-    sx, _, _ = smith_normal_form(ring, x, track=False)
+        if not all(ring.is_zero(x) for x in w.rows[i]):
+            raise ValueError("maps do not compose to zero")
+    k = d_out.n - r
+    sx, _, _ = smith_normal_form(ring, Matrix(k, d_in.n, w.rows[r:]))
     divs = diagonal_invariants(ring, sx)
     return (k - len(divs), [d for d in divs if not ring.is_unit(d)])

@@ -39,6 +39,15 @@ CASES = [
     ["tensor", "omega", "omega^2"],
     ["tensor", "omega", "R", "--json"],
     ["tensor", "foo", "R"],
+    ["act", "Q0", "--module", "R x omega"],
+    ["tensor", "omega x omega^2", "R"],
+    ["act", "Q1", "--module", "omegaxR"],
+    ["act", "Q1", "--module", "omega^ 2"],
+    ["act", "Q1", "--module", "xomega"],
+    ["act", "Q1", "--module", "R^2"],
+    ["act", "Q1", "--module", "omega^-1"],
+    ["act", "Q1", "--module", "omega omega"],
+    ["koszul", "acyclic", "--module", "omegaxR", "--kmax", "1"],
     ["theta", "2"],
     ["theta", "t x + Q[1] x"],
     ["theta", "a x^2 - 3 t Q[2] x", "--json"],

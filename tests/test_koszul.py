@@ -17,6 +17,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from powerops.poly import Poly, ZERO, A
 from powerops.opalgebra import Operation, basis_of_degree
+from powerops import koszul
+from powerops.cli import main as cli_main
 from powerops.opmodules import (ModulePresentation, standard_module, omega,
                                 omega_power, tensor)
 from powerops.koszul import (RELATIONS, k1_right_a_matrix, build_complex,
@@ -171,6 +173,19 @@ class TestReducedComplex:
         bad = ModulePresentation(1, [[1]], [[1]], [[1]])
         with pytest.raises(ValueError):
             tor_reduced(bad)
+
+    def test_non_composing_pair_is_an_arithmetic_error(self, monkeypatch):
+        # d1bar(omega) = (0 -1 0); a 1 in row 1 of d2bar makes d1 d2 != 0
+        real = koszul.build_complex
+
+        def broken(module, k_max):
+            cx = real(module, k_max)
+            cx.d2.rows[1][0] = Poly(1)
+            return cx
+        monkeypatch.setattr(koszul, "build_complex", broken)
+        with pytest.raises(ArithmeticError):
+            tor_reduced(omega())
+        assert cli_main(["tor", "--k", "1"]) == 3
 
 
 # --- the full truncated complex ---------------------------------------------

@@ -144,6 +144,122 @@ class TestKernel:
         assert len(kb) == 3
 
 
+def naive_product(ring, a, b):
+    """Entry (i, j) is the sum over t of a[i][t] b[t][j], in that order."""
+    rows = []
+    for i in range(a.m):
+        row = []
+        for j in range(b.n):
+            acc = ring.zero
+            for t in range(a.n):
+                acc = ring.add(acc, ring.mul(a.rows[i][t], b.rows[t][j]))
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def sparse_matrix(rng, m, n, entry):
+    """About half the entries zero, the rest drawn by entry(rng)."""
+    return Matrix(m, n, [[entry(rng) if rng.random() < 0.5 else entry.zero
+                          for _ in range(n)] for _ in range(m)])
+
+
+def _int_entry(rng):
+    return rng.choice([-3, -2, -1, 1, 2, 5])
+
+
+def _poly_entry(rng):
+    return Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))])
+
+
+_int_entry.zero = 0
+_poly_entry.zero = Poly(0)
+
+
+def _ring_entry(ring):
+    def entry(rng):
+        return ring.coerce(_poly_entry(rng))
+    entry.zero = ring.zero
+    return entry
+
+
+_PRODUCT_CASES = [(ZZ, _int_entry), (ZZ, _poly_entry),
+                  (QA, _ring_entry(QA)), (F2A, _ring_entry(F2A))]
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("ring, entry", _PRODUCT_CASES,
+                             ids=["ZZ-int", "ZZ-poly", "QA", "F2A"])
+    def test_matches_naive_sum(self, ring, entry):
+        rng = random.Random(31)
+        for _ in range(20):
+            m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            a = sparse_matrix(rng, m, n, entry)
+            b = sparse_matrix(rng, n, k, entry)
+            # a zero row of a and a zero column of b
+            a.rows[rng.randrange(m)] = [entry.zero] * n
+            zero_col = rng.randrange(k)
+            for row in b.rows:
+                row[zero_col] = entry.zero
+            prod = mat_mul(ring, a, b)
+            assert (prod.m, prod.n) == (m, k)
+            assert prod.rows == naive_product(ring, a, b)
+            assert all(ring.is_zero(row[zero_col]) for row in prod.rows)
+
+    @pytest.mark.parametrize("ring, entry", _PRODUCT_CASES,
+                             ids=["ZZ-int", "ZZ-poly", "QA", "F2A"])
+    def test_empty_shapes(self, ring, entry):
+        rng = random.Random(32)
+        for m, n, k in ((0, 3, 2), (2, 3, 0), (3, 0, 2), (0, 0, 0),
+                        (0, 2, 0), (2, 0, 0)):
+            a = sparse_matrix(rng, m, n, entry)
+            b = sparse_matrix(rng, n, k, entry)
+            prod = mat_mul(ring, a, b)
+            assert (prod.m, prod.n) == (m, k)
+            assert prod.rows == naive_product(ring, a, b)
+            assert all(ring.is_zero(x) for row in prod.rows for x in row)
+
+    def test_inner_dimensions_checked(self):
+        with pytest.raises(ValueError):
+            mat_mul(ZZ, Matrix(1, 2, [[1, 2]]), Matrix(1, 1, [[1]]))
+
+
+_RINGS = [ZZ, QA, F2A]
+
+
+def _empty(m, n):
+    return Matrix(m, n, [[] for _ in range(m)])
+
+
+class TestEmptyShapes:
+    @pytest.mark.parametrize("ring", _RINGS, ids=["ZZ", "QA", "F2A"])
+    def test_kernel_basis(self, ring):
+        assert kernel_basis(ring, _empty(0, 0)) == []
+        assert kernel_basis(ring, _empty(3, 0)) == []
+        assert kernel_basis(ring, _empty(0, 3)) == \
+            Matrix.identity(3, ring).rows
+
+    @pytest.mark.parametrize("ring", _RINGS, ids=["ZZ", "QA", "F2A"])
+    def test_homology(self, ring):
+        c = ring.coerce
+        assert homology(ring, _empty(0, 0), _empty(0, 0)) == (0, [])
+        assert homology(ring, _empty(0, 0), _empty(0, 4)) == (0, [])
+        assert homology(ring, _empty(2, 0), _empty(0, 3)) == (0, [])
+        assert homology(ring, _empty(0, 3), _empty(3, 0)) == (3, [])
+        # nothing maps out: ker is everything, the cokernel of d_in is left
+        d_in = Matrix(2, 1, [[c(Poly(2))], [c(Poly(0))]])
+        assert homology(ring, _empty(0, 2), d_in) == \
+            {ZZ: (1, [2]), QA: (1, []), F2A: (2, [])}[ring]
+        if ring is not ZZ:
+            d_in = Matrix(2, 1, [[c(A + 1)], [c(Poly(0))]])
+            assert homology(ring, _empty(0, 2), d_in) == (1, [c(A + 1)])
+        # nothing maps in: the kernel of d_out is free
+        d_out = Matrix(1, 3, [[c(Poly(0)), c(Poly(1)), c(Poly(0))]])
+        assert homology(ring, d_out, _empty(3, 0)) == (2, [])
+        assert homology(ring, Matrix.zero(2, 3, ring), _empty(3, 0)) == \
+            (3, [])
+
+
 class TestHomology:
     def test_two_torsion_example(self):
         d_out = Matrix(1, 3, [[0, -1, 0]])
