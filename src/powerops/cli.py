@@ -127,6 +127,8 @@ def _vector(m: ModulePresentation, text: str):
 # --- formatting -------------------------------------------------------------
 
 _LABELS = {"z": "Z", "q": "Q", "f2": "F2"}
+# Assembling the complex takes seconds at degree 7 and minutes at 8.
+_KMAX_LIMIT = 7
 _RING_NAMES = {"Z": "Z", "Q": "Q[a]", "F2": "F2[a]"}
 
 
@@ -246,6 +248,8 @@ def _cmd_tor(args) -> int:
 
 
 def _cmd_acyclic(args) -> int:
+    if args.kmax > _KMAX_LIMIT:
+        raise UsageError("--kmax must be at most %d" % _KMAX_LIMIT)
     mod = _module_json_or_name(args.module)
     report = acyclicity_check(mod, args.kmax, args.field)
     if args.json:

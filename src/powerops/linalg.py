@@ -4,6 +4,11 @@ Smith normal form over a Euclidean domain with column-transform tracking,
 kernel bases, and the homology of a pair of composable maps.  Matrices
 carry explicit shape so zero-dimensional edge cases stay unambiguous.
 
+`unit_pivot_elimination` is a separate, sparse route for matrices over
+Z[a] itself: it pivots on constant +-1 entries only, so when it clears a
+matrix the result holds over every ring Z[a] maps to.  It shares no code
+with the Smith form, which stays the general method and its oracle.
+
 Ring strategy objects convert entries from integer polynomials (Poly) and
 supply the arithmetic; `ZZ` additionally refuses nonconstant entries, which
 is how callers detect that an integral Smith form is unavailable.
@@ -16,8 +21,9 @@ from fractions import Fraction
 from .poly import Poly
 
 __all__ = ["Matrix", "IntRing", "FieldPolyRing", "ZZ", "QA", "F2A",
-           "ring_by_name", "mat_mul", "smith_normal_form",
-           "diagonal_invariants", "kernel_basis", "homology"]
+           "ring_by_name", "mat_mul", "unit_pivot_elimination",
+           "smith_normal_form", "diagonal_invariants", "kernel_basis",
+           "homology", "homology_triple"]
 
 
 class Matrix:
@@ -251,6 +257,69 @@ def mat_mul(ring, a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.m, b.n, rows)
 
 
+_UNITS = ((1,), (-1,))
+
+
+def unit_pivot_elimination(mat: Matrix):
+    """Sparse elimination of a matrix of Poly entries over Z[a], on
+    constant +-1 pivots only; returns (rank, complete).
+
+    Rows are dicts of their nonzero entries.  Each step takes the +-1
+    entry of least Markowitz cost (row count - 1) * (column count - 1)
+    and clears its column from the other live rows.  complete means no
+    nonzero entry is left: the pivots then form a unit-triangular block,
+    so mat is unimodularly equivalent over Z[a] to diag(1, ..., 1, 0)
+    with rank ones, after any base change.  When it is False, rank only
+    counts the pivots taken.
+    """
+    rows = [{j: x for j, x in enumerate(row) if x.coeffs}
+            for row in mat.rows]
+    cols = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    live = {i for i, row in enumerate(rows) if row}
+    rank = 0
+    while live:
+        best = None
+        for i in live:
+            row = rows[i]
+            for j, x in row.items():
+                if x.coeffs in _UNITS:
+                    cost = (len(row) - 1) * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        live.discard(i)
+        prow = rows[i]
+        p = prow.pop(j).coeffs[0]
+        for c in prow:
+            cols[c].discard(i)
+        cols[j].discard(i)
+        for k in cols.pop(j):
+            # row k += f * row i with f = -x / p = -x * p, x its entry
+            krow = rows[k]
+            f = krow.pop(j) * -p
+            for c, y in prow.items():
+                v = krow.get(c)
+                w = f * y if v is None else v + f * y
+                if w.coeffs:
+                    krow[c] = w
+                    if v is None:
+                        cols[c].add(k)
+                elif v is not None:
+                    del krow[c]
+                    cols[c].discard(k)
+            if not krow:
+                live.discard(k)
+        rank += 1
+    return rank, not live
+
+
 def smith_normal_form(ring, mat: Matrix, track: bool = False):
     """Diagonalize U @ mat @ V with unimodular U, V; returns (S, V, Vinv).
 
@@ -332,6 +401,8 @@ def smith_normal_form(ring, mat: Matrix, track: bool = False):
                     break
             if restart:
                 continue
+            if ring.is_unit(S[t][t]):
+                break       # a unit divides every entry: no offender
             offender = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
@@ -370,23 +441,39 @@ def kernel_basis(ring, mat: Matrix):
     return [v.column(j) for j in range(r, mat.n)]
 
 
+def homology_triple(ring, d1: Matrix, d2: Matrix):
+    """(h0, h1, h2) of 0 -> P2 --d2--> P1 --d1--> P0 -> 0, each as
+    (free_rank, nontrivial_divisors).
+
+    d1 d2 must vanish.  Two Smith forms in all: the tracked one of d1
+    gives coker d1 (h0) on its diagonal and, through Vinv, carries d2
+    into ker d1; the one of that image gives h1, and its rank, which is
+    the rank of d2, gives h2 = ker d2, free over a PID.  Divisors come
+    back in canonical form with units dropped, so a zero module reads
+    (0, []).
+    """
+    if d1.n != d2.m:
+        raise ValueError("position dimensions differ: %d vs %d"
+                         % (d1.n, d2.m))
+    snf, _, vinv = smith_normal_form(ring, d1, track=True)
+    divs1 = diagonal_invariants(ring, snf)
+    r = len(divs1)
+    w = mat_mul(ring, vinv, d2)
+    for i in range(r):
+        if not all(ring.is_zero(x) for x in w.rows[i]):
+            raise ValueError("maps do not compose to zero")
+    k = d1.n - r
+    sx, _, _ = smith_normal_form(ring, Matrix(k, d2.n, w.rows[r:]))
+    divs2 = diagonal_invariants(ring, sx)
+    return ((d1.m - r, [d for d in divs1 if not ring.is_unit(d)]),
+            (k - len(divs2), [d for d in divs2 if not ring.is_unit(d)]),
+            (d2.n - len(divs2), []))
+
+
 def homology(ring, d_out: Matrix, d_in: Matrix):
     """ker(d_out)/im(d_in) as (free_rank, nontrivial_divisors).
 
     d_out maps the position under study outward; d_in maps into it; the
-    composite must vanish.  Divisors come back in canonical form with
-    units dropped, so a zero module reads (0, []).
+    composite must vanish.  This is the middle of `homology_triple`.
     """
-    if d_out.n != d_in.m:
-        raise ValueError("position dimensions differ: %d vs %d"
-                         % (d_out.n, d_in.m))
-    snf, _, vinv = smith_normal_form(ring, d_out, track=True)
-    r = len(diagonal_invariants(ring, snf))
-    w = mat_mul(ring, vinv, d_in)
-    for i in range(r):
-        if not all(ring.is_zero(x) for x in w.rows[i]):
-            raise ValueError("maps do not compose to zero")
-    k = d_out.n - r
-    sx, _, _ = smith_normal_form(ring, Matrix(k, d_in.n, w.rows[r:]))
-    divs = diagonal_invariants(ring, sx)
-    return (k - len(divs), [d for d in divs if not ring.is_unit(d)])
+    return homology_triple(ring, d_out, d_in)[1]

@@ -71,6 +71,7 @@ CASES = [
     ["koszul", "acyclic", "--module", "omega", "--kmax", "2"],
     ["koszul", "acyclic", "--module", "R", "--kmax", "2", "--field", "f2",
      "--json"],
+    ["koszul", "acyclic", "--module", "omega", "--kmax", "8"],
     ["isogeny", "--order", "6"],
     ["isogeny", "--order", "4", "--json"],
     ["isogeny", "--order", "1"],

@@ -18,9 +18,11 @@ from sympy.polys.matrices import DomainMatrix
 from powerops.poly import Poly, ZERO, A
 from powerops.opalgebra import Operation, basis_of_degree
 from powerops import koszul
+from powerops.linalg import (Matrix, ring_by_name, homology,
+                             unit_pivot_elimination)
 from powerops.cli import main as cli_main
 from powerops.opmodules import (ModulePresentation, standard_module, omega,
-                                omega_power, tensor)
+                                omega_power, tensor, two_sphere)
 from powerops.koszul import (RELATIONS, k1_right_a_matrix, build_complex,
                              acyclicity_check, tor_reduced, tor_gamma_mod_I,
                              identification_check, reduced_matrices,
@@ -254,6 +256,63 @@ class TestAcyclicity:
         rep = truncation_stability_check(omega(), (2, 3, 4), "q")
         assert rep["ok"]
         assert all(v == rep["values"][0] for v in rep["values"])
+
+
+def _coerced(ring, mat):
+    return Matrix(mat.m, mat.n, [[ring.coerce(e) for e in row]
+                                 for row in mat.rows])
+
+
+def _smith_triple(ring, d1, d2):
+    """(h0, h1, h2) by three dense Smith-form homology calls over ring."""
+    c1, c2 = _coerced(ring, d1), _coerced(ring, d2)
+    return (homology(ring, Matrix(0, c1.m, []), c1),
+            homology(ring, c1, c2),
+            homology(ring, c2, Matrix(c2.n, 0, [[] for _ in range(c2.n)])))
+
+
+_CERT_MODULES = {"R": standard_module, "omega": omega,
+                 "omega^2": lambda: omega_power(2), "two_sphere": two_sphere}
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("name", sorted(_CERT_MODULES))
+    def test_certified_triple_matches_smith_oracle(self, name):
+        cx = build_complex(_CERT_MODULES[name](), 4)
+        for cap in range(1, 5):
+            _, d1, d2 = cx.caps(cap)
+            # the certificate path is the one taken
+            assert unit_pivot_elimination(d1)[1]
+            assert unit_pivot_elimination(d2)[1]
+            for field in ("q", "f2"):
+                ring = ring_by_name(field)
+                assert koszul._homology_triple(ring, d1, d2) == \
+                    _smith_triple(ring, d1, d2)
+
+    def test_torsion_goes_through_the_fallback(self, monkeypatch):
+        d1, d2 = reduced_matrices(omega())
+        assert unit_pivot_elimination(d2) == (1, False)
+        calls = []
+        real = koszul.homology_triple
+
+        def spy(ring, c1, c2):
+            calls.append(ring.name)
+            return real(ring, c1, c2)
+        monkeypatch.setattr(koszul, "homology_triple", spy)
+        rep = tor_gamma_mod_I(1)
+        assert calls == ["Z", "Q[a]", "F2[a]"]
+        assert as_pairs(rep["Z"]) == [(0, []), (0, [2]), (0, [])]
+
+    def test_non_composing_pair_raises(self):
+        # both maps clear on unit pivots, so only the d1 d2 = 0 check
+        # stands between them and a wrong certificate (h1 = 0)
+        d1 = Matrix(1, 2, [[Poly(1), ZERO]])
+        d2 = Matrix(2, 1, [[Poly(1)], [ZERO]])
+        assert unit_pivot_elimination(d1) == (1, True)
+        assert unit_pivot_elimination(d2) == (1, True)
+        for field in ("q", "f2", "z"):
+            with pytest.raises(ValueError, match="do not compose to zero"):
+                koszul._homology_triple(ring_by_name(field), d1, d2)
 
 
 class TestIdentification:

@@ -9,13 +9,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy import GF, QQ, Matrix as SMatrix
 from sympy.matrices.normalforms import invariant_factors
 
 from powerops.poly import Poly, A
 from powerops.linalg import (Matrix, ZZ, QA, F2A, ring_by_name, mat_mul,
                              smith_normal_form, diagonal_invariants,
-                             kernel_basis, homology)
+                             kernel_basis, homology, homology_triple,
+                             unit_pivot_elimination)
 
 _a = sympy.symbols("a")
 
@@ -303,6 +305,93 @@ class TestHomology:
                              [F2A.coerce(0), F2A.coerce(0)],
                              [F2A.coerce(2), F2A.coerce(0)]])
         assert homology(F2A, d_out, d_in) == (1, [])
+
+
+class TestHomologyTriple:
+    @pytest.mark.parametrize("ring", _RINGS, ids=["ZZ", "QA", "F2A"])
+    def test_matches_three_homology_calls(self, ring):
+        # h0 and h2 read off the two Smith forms of the triple must equal
+        # homology with nothing mapping in, and with nothing mapping out
+        rng = random.Random(41)
+        for _ in range(12):
+            n0, n1, n2 = (rng.randint(0, 4) for _ in range(3))
+            k = rng.randint(0, n1)
+            # d1 = a c, d2 = b e with c b = 0 through a k-dim middle block
+            a = sparse_matrix(rng, n0, k, _poly_entry)
+            b = sparse_matrix(rng, n1 - k, n2, _poly_entry)
+            d1 = Matrix(n0, n1, [row + [Poly(0)] * (n1 - k) for row in a.rows])
+            d2 = Matrix(n1, n2, [[Poly(0)] * n2 for _ in range(k)] + b.rows)
+            if ring is ZZ:
+                d1, d2 = (Matrix(m.m, m.n, [[rng.randint(-3, 3) * bool(x)
+                                             for x in row] for row in m.rows])
+                          for m in (d1, d2))
+            else:
+                d1, d2 = (Matrix(m.m, m.n, [[ring.coerce(x) for x in row]
+                                            for row in m.rows])
+                          for m in (d1, d2))
+            assert homology_triple(ring, d1, d2) == (
+                homology(ring, _empty(0, n0), d1), homology(ring, d1, d2),
+                homology(ring, d2, _empty(n2, 0)))
+
+
+def _poly(*coeffs):
+    return Poly(list(coeffs))
+
+
+_ZA_ENTRIES = st.one_of(st.just(Poly(0)), st.just(Poly(0)),
+                        st.sampled_from([Poly(1), Poly(-1)]),
+                        st.lists(st.integers(-2, 2), max_size=3).map(Poly))
+
+
+@st.composite
+def za_matrices(draw):
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return Matrix(m, n, [[draw(_ZA_ENTRIES) for _ in range(n)]
+                         for _ in range(m)])
+
+
+class TestUnitPivotElimination:
+    def test_small_cases(self):
+        assert unit_pivot_elimination(_empty(0, 3)) == (0, True)
+        assert unit_pivot_elimination(
+            Matrix(2, 3, [[_poly(0)] * 3 for _ in range(2)])) == (0, True)
+        assert unit_pivot_elimination(Matrix(1, 1, [[_poly(2)]])) == \
+            (0, False)
+        assert unit_pivot_elimination(Matrix(1, 1, [[A]])) == (0, False)
+        # the second row is a times the first, and clears
+        assert unit_pivot_elimination(Matrix(2, 2, [
+            [_poly(1), A], [A, A * A]])) == (1, True)
+        assert unit_pivot_elimination(Matrix(2, 2, [
+            [_poly(-1), A], [A, _poly(1) - A * A]])) == (2, True)
+        # the Tor complex of omega: d2bar keeps the 2-torsion entry
+        assert unit_pivot_elimination(Matrix(1, 3, [
+            [_poly(0), _poly(-1), _poly(0)]])) == (1, True)
+        assert unit_pivot_elimination(Matrix(3, 2, [
+            [_poly(0), _poly(1)], [_poly(0), _poly(0)],
+            [_poly(2), _poly(0)]])) == (1, False)
+
+    def test_input_unchanged(self):
+        mat = Matrix(2, 2, [[_poly(1), A], [A, _poly(3)]])
+        before = [row[:] for row in mat.rows]
+        unit_pivot_elimination(mat)
+        assert mat.rows == before
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(za_matrices())
+    def test_agrees_with_smith_forms(self, mat):
+        # a complete elimination is a certificate: over Q[a] and F2[a]
+        # alike the Smith form has exactly rank units on its diagonal;
+        # an incomplete one still bounds the rank from below
+        rank, complete = unit_pivot_elimination(mat)
+        for ring in (QA, F2A):
+            coerced = Matrix(mat.m, mat.n, [[ring.coerce(x) for x in row]
+                                            for row in mat.rows])
+            snf, _, _ = smith_normal_form(ring, coerced)
+            divs = diagonal_invariants(ring, snf)
+            assert rank <= len(divs)
+            if complete:
+                assert len(divs) == rank
+                assert all(ring.is_unit(d) for d in divs)
 
 
 class TestRingStrategies:
