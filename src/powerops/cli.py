@@ -62,17 +62,12 @@ def _base_ring_elem(text: str) -> Poly:
         elem = parse_tower_expr(text)
     except ValueError as exc:
         raise UsageError("cannot parse %r: %s" % (text, exc))
-    for j in range(3):
-        for k in range(3):
-            cell = elem.c[j][k]
-            if (j, k) != (0, 0):
-                if not cell.is_zero():
-                    raise UsageError(
-                        "%r does not lie in Z[a]: it involves d or d'" % text)
-            elif not cell.is_in_R():
-                raise UsageError(
-                    "%r does not lie in Z[a]: denominators remain" % text)
-    return elem.c[0][0].num
+    const = elem.c[0].c[0]
+    if not const.is_in_R():
+        raise UsageError("%r does not lie in Z[a]: denominators remain" % text)
+    if elem != const:
+        raise UsageError("%r does not lie in Z[a]: it involves d or d'" % text)
+    return const.num
 
 
 def _module_spec(text: str) -> ModulePresentation:
@@ -430,6 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Exact answers are printed in full, however many digits they have.
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

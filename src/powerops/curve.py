@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .poly import Poly, ZERO, ONE, A, format_terms
 from .series import Series
-from .tower import SFrac, S2Elem, S22Elem
+from .tower import SFrac, S2Elem, S22Elem, TARGET_A
 from .opalgebra import Operation, push_through, psi
 from .normlog import q_triple_R
 
@@ -46,11 +46,6 @@ __all__ = ["ChartPoint", "OrderTwoDatum", "IsogenyData", "ORDER_TWO",
            "canonical_subgroup_check", "cartan_projective_check"]
 
 DEFAULT_ORDER = 12
-
-# Coefficient of the isogeny's target curve, a' = a^2 + 3d - a*d^2, as an
-# element of S2.  `isogeny_series` re-derives it from scratch; the stored
-# copy is what the derivation routines expand.
-TARGET_A = S2Elem(A * A, 3, -A)
 
 _S2_ZERO = S2Elem(0)
 _S2_ONE = S2Elem(1)
@@ -358,7 +353,7 @@ def derive_adem_and_psi() -> dict:
     rows = [{}, {}, {}]
     for i in range(3):
         for j in range(3):
-            image = S22Elem({(i, j): 1}).f_star()
+            image = (S22Elem(_D ** i) * S22Elem.dprime() ** j).f_star()
             for k in range(3):
                 frac = image.c[k]
                 if frac.is_zero():

@@ -20,7 +20,7 @@ series (log evaluation at stated precision).
 from __future__ import annotations
 
 from .poly import Poly, A, ONE, ZERO, DISC
-from .tower import SFrac, S2Elem
+from .tower import SFrac, S2Elem, TARGET_A
 from .padic import (PadicElem, PrecisionError, log_half, DEFAULT_PREC2,
                     DEFAULT_PRECA)
 from .opalgebra import Operation, psi, push_through
@@ -56,10 +56,10 @@ def q_triple_R(x) -> tuple:
     return tuple(act(_STD, Operation.q(i), (x,))[0] for i in range(3))
 
 
-# Image of a under x -> Q0 x + Q1 x d + Q2 x d^2; this is a ring map into
-# the rank-3 extension, so it extends to denominators by inverting P(D).
-_P_A = S2Elem(A * A, 3, -A)
-_P_D = DISC.eval_in(_P_A, S2Elem(1))
+# x -> Q0 x + Q1 x d + Q2 x d^2 sends a to a' (`TARGET_A`); this is a ring
+# map into the rank-3 extension, so it extends to denominators by inverting
+# P(D).
+_P_D = DISC.eval_in(TARGET_A, S2Elem(1))
 _P_D_INV = _P_D.inv()
 
 
@@ -69,7 +69,7 @@ def p_map(x) -> S2Elem:
         x = SFrac(x)
     if not x.is_in_S():
         raise ValueError("P is defined on S; got a half-integral element")
-    out = x.num.eval_in(_P_A, S2Elem(1))
+    out = x.num.eval_in(TARGET_A, S2Elem(1))
     if x.dpow:
         out = out * _P_D_INV ** x.dpow
     return out

@@ -16,7 +16,7 @@ makes sense over Z2 with no division by 2.
 
 from __future__ import annotations
 
-from .poly import Poly, power
+from .poly import Poly, DISC, power
 from .tower import SFrac
 
 __all__ = ["PadicElem", "PrecisionError", "log_half", "DEFAULT_PREC2",
@@ -60,10 +60,8 @@ class PadicElem:
             raise ValueError("2 is not invertible in the completed ring")
         out = PadicElem.from_poly(x.num, prec2, precA)
         if x.dpow:
-            from .poly import DISC
             dinv = PadicElem.from_poly(DISC, prec2, precA).inv()
-            for _ in range(x.dpow):
-                out = out * dinv
+            out = out * dinv ** x.dpow
         return out
 
     @staticmethod

@@ -5,6 +5,10 @@ R = Z[a], S = R[1/D] with D = a^3 - 27, and the successive extensions
     S2  = S[d]  / (d^3 - a*d - 2)
     S22 = S2[d'] / (d'^3 - a'*d' - 2),   a' = a^2 + 3*d - a*d^2.
 
+Both steps are one construction, written once as `S2Elem`: c0 + c1*x +
+c2*x^2 over a base ring with x^3 = A*x + 2.  `S2Elem` takes the base S and
+A = a; `S22Elem` is the same class over S2 with A = a' (`TARGET_A`).
+
 S-elements are stored as num / (2^tpow * D^dpow) in minimal form.  The 2-power
 slot exists because chart computations on the curve need 1/d, and
 d*(d^2 - a) = 2 makes d invertible only after 2 is; genuine membership in R or
@@ -15,15 +19,25 @@ equality is tuple equality.
 
 from __future__ import annotations
 
-from .poly import Poly, DISC, ONE, ZERO, power, summands
+from .poly import Poly, A, DISC, power, summands
 
-__all__ = ["SFrac", "S2Elem", "S22Elem", "tower_reduce", "parse_tower_expr"]
+__all__ = ["SFrac", "S2Elem", "S22Elem", "TARGET_A", "tower_reduce",
+           "parse_tower_expr"]
+
+
+def _coerce(x):
+    if isinstance(x, SFrac):
+        return x
+    if isinstance(x, (int, Poly)):
+        return SFrac(x) if x else S_ZERO
+    return None
 
 
 class SFrac:
     """num / (2^tpow * D^dpow) with num in Z[a], stored in lowest terms."""
 
     __slots__ = ("num", "dpow", "tpow")
+    _lift = staticmethod(_coerce)
 
     def __init__(self, num, dpow: int = 0, tpow: int = 0):
         num = Poly(num)
@@ -79,13 +93,25 @@ class SFrac:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if not self.num:
+            return other
+        if not other.num:
+            return self
         dp = max(self.dpow, other.dpow)
         tp = max(self.tpow, other.tpow)
-        x = self.num * (DISC ** (dp - self.dpow)) * Poly(2 ** (tp - self.tpow))
-        y = other.num * (DISC ** (dp - other.dpow)) * Poly(2 ** (tp - other.tpow))
-        return SFrac(x + y, dp, tp)
+        return SFrac(self._scaled_num(dp, tp) + other._scaled_num(dp, tp),
+                     dp, tp)
 
     __radd__ = __add__
+
+    def _scaled_num(self, dpow: int, tpow: int) -> Poly:
+        """The numerator over the larger denominator 2^tpow * D^dpow."""
+        num = self.num
+        if dpow > self.dpow:
+            num = num * DISC ** (dpow - self.dpow)
+        if tpow > self.tpow:
+            num = num * (1 << (tpow - self.tpow))
+        return num
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -100,7 +126,10 @@ class SFrac:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return SFrac(self.num * other.num, self.dpow + other.dpow, self.tpow + other.tpow)
+        if not self.num or not other.num:
+            return S_ZERO
+        return SFrac(self.num * other.num, self.dpow + other.dpow,
+                     self.tpow + other.tpow)
 
     __rmul__ = __mul__
 
@@ -110,25 +139,8 @@ class SFrac:
         return power(self, n, S_ONE)
 
     def inv(self) -> "SFrac":
-        """Inverse when the numerator is +-2^s * D^r; otherwise ValueError."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        num, s, r = self.num, 0, 0
-        while num.divisible_by_int(2) and num.degree() >= 0:
-            num, s = num.divide_int_exact(2), s + 1
-        while True:
-            quo, rem = num.divmod_monic(DISC)
-            if not rem.is_zero():
-                break
-            num, r = quo, r + 1
-        if num == ONE:
-            sign = 1
-        elif num == Poly(-1):
-            sign = -1
-        else:
-            raise ValueError("not a unit in S[1/2]: %s" % self)
-        return SFrac(Poly(sign) * DISC ** self.dpow * Poly(2 ** self.tpow),
-                     r, s)
+        """1 / self in S[1/2]; ValueError when self is not a unit there."""
+        return S_ONE.div(self)
 
     def div(self, other: "SFrac") -> "SFrac":
         """Exact division inside S[1/2]; ValueError when impossible.
@@ -194,171 +206,145 @@ class SFrac:
         return "SFrac(%r, %d, %d)" % (self.num.coeffs, self.dpow, self.tpow)
 
 
-def _coerce(x):
-    if isinstance(x, SFrac):
-        return x
-    if isinstance(x, (int, Poly)):
-        return SFrac(x)
-    return None
-
-
 S_ZERO = SFrac(0)
 S_ONE = SFrac(1)
 
 
-def _reduce_dprime(terms):
-    """Rewrite a dict {(j, k): SFrac} for d^j d'^k into j, k <= 2.
-
-    Uses d^3 -> a*d + 2, then d'^3 -> (a^2 + 3d - a*d^2)*d' + 2, re-reducing
-    the d-powers the second rule creates.
-    """
-    a = SFrac(Poly((0, 1)))
-    work = dict(terms)
-    done = {}
-    while work:
-        (j, k), c = work.popitem()
-        if c.is_zero():
-            continue
-        if j >= 3:
-            _add(work, (j - 2, k), c * a)
-            _add(work, (j - 3, k), c * 2)
-        elif k >= 3:
-            _add(work, (j, k - 2), c * a * a)
-            _add(work, (j + 1, k - 2), c * 3)
-            _add(work, (j + 2, k - 2), -(c * a))
-            _add(work, (j, k - 3), c * 2)
-        else:
-            _add(done, (j, k), c)
-    return done
-
-
-def _add(table, key, val):
-    cur = table.get(key)
-    new = val if cur is None else cur + val
-    if new.is_zero():
-        table.pop(key, None)
-    else:
-        table[key] = new
-
-
 class S2Elem:
-    """c0 + c1*d + c2*d^2 with ci in S (or S[1/2])."""
+    """c0 + c1*x + c2*x^2 over a base ring, with x^3 = A*x + 2, A = a_coeff.
+
+    Over the base S[1/2] (`SFrac`) this is S2 itself, with x = d and
+    a_coeff = a; `S22Elem` is the same construction over S2.
+    """
 
     __slots__ = ("c",)
+    base = SFrac
+    a_coeff = SFrac(A)
+    _symbol = "d"
 
     def __init__(self, c0=0, c1=0, c2=0):
-        self.c = (_coerce(c0), _coerce(c1), _coerce(c2))
+        lift = self.base._lift
+        self.c = (lift(c0), lift(c1), lift(c2))
+
+    @classmethod
+    def _lift(cls, x):
+        """x as an element of cls, or None when it is not one."""
+        if type(x) is cls:
+            return x
+        c = cls.base._lift(x)
+        return None if c is None else cls(c)
 
     @staticmethod
     def d() -> "S2Elem":
         return S2Elem(0, 1, 0)
 
-    @staticmethod
-    def from_s(x) -> "S2Elem":
-        return S2Elem(x, 0, 0)
-
     def is_zero(self):
-        return all(x.is_zero() for x in self.c)
+        return not any(self.c)
 
     def is_in_S2(self) -> bool:
         """True when every coefficient is 2-integral (a genuine S2 element)."""
         return all(x.is_in_S() for x in self.c)
 
     def __eq__(self, other):
-        other = _coerce2(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         return self.c == other.c
 
     def __hash__(self):
-        # An element of S equals its constant coefficient, so it hashes as
-        # that.
+        # An element of the base equals its constant coefficient, so it
+        # hashes as that.
         if not self.c[1] and not self.c[2]:
             return hash(self.c[0])
         return hash(self.c)
 
+    def __bool__(self):
+        return any(self.c)
+
     def __neg__(self):
-        return S2Elem(*(-x for x in self.c))
+        return type(self)(*(-x for x in self.c))
 
     def __add__(self, other):
-        other = _coerce2(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
-        return S2Elem(*(x + y for x, y in zip(self.c, other.c)))
+        return type(self)(*(x + y for x, y in zip(self.c, other.c)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce2(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce2(other) - self
-
-    def __mul__(self, other):
-        other = _coerce2(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
-        table = {}
-        for i, x in enumerate(self.c):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.c):
-                if y.is_zero():
-                    continue
-                _add(table, (i + j, 0), x * y)
-        red = _reduce_dprime(table)
-        out = [S_ZERO, S_ZERO, S_ZERO]
-        for (j, k), c in red.items():
-            assert k == 0
-            out[j] = out[j] + c
-        return S2Elem(*out)
+        return other - self
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        if not self:
+            return self
+        if not other:
+            return other
+        x0, x1, x2 = self.c
+        y0, y1, y2 = other.c
+        # The x^3 and x^4 products fold by x^3 = A x + 2, x^4 = A x^2 + 2 x.
+        c3 = x1 * y2 + x2 * y1
+        c4 = x2 * y2
+        return type(self)(x0 * y0 + c3 + c3,
+                          x0 * y1 + x1 * y0 + self.a_coeff * c3 + c4 + c4,
+                          x0 * y2 + x1 * y1 + x2 * y0 + self.a_coeff * c4)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            return power(self.inv(), -n, S2Elem(1))
-        return power(self, n, S2Elem(1))
+            return power(self.inv(), -n, type(self)(1))
+        return power(self, n, type(self)(1))
 
     def mult_matrix(self):
-        """3x3 matrix (rows) of multiplication by self on the basis 1, d, d^2.
+        """3x3 matrix (rows) of multiplication by self on the basis 1, x, x^2.
 
-        The matrix of d itself is [[0,0,2],[1,0,a],[0,1,0]] by columns.
+        Column k + 1 is x times column k: x*(v0 + v1 x + v2 x^2) =
+        2 v2 + (v0 + A v2) x + v1 x^2.  The matrix of d in S2 is
+        [[0,0,2],[1,0,a],[0,1,0]].
         """
-        cols = []
-        for j in range(3):
-            basis = S2Elem(*(1 if i == j else 0 for i in range(3)))
-            cols.append((self * basis).c)
-        return [[cols[j][i] for j in range(3)] for i in range(3)]
+        cols = [self.c]
+        for _ in range(2):
+            v0, v1, v2 = cols[-1]
+            cols.append((v2 + v2, v0 + self.a_coeff * v2, v1))
+        return [[col[i] for col in cols] for i in range(3)]
 
-    def norm(self) -> SFrac:
-        """Determinant of the multiplication matrix (norm to S[1/2])."""
-        m = self.mult_matrix()
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    def _norm_and_adjugate(self):
+        """The determinant of `mult_matrix` and the first column of its
+        adjugate, which is the element y with self * y = norm."""
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.mult_matrix()
+        adj = (m11 * m22 - m12 * m21, m12 * m20 - m10 * m22,
+               m10 * m21 - m11 * m20)
+        return m00 * adj[0] + m01 * adj[1] + m02 * adj[2], adj
 
-    def trace(self) -> SFrac:
+    def norm(self):
+        """Determinant of the multiplication matrix (the norm to the base)."""
+        return self._norm_and_adjugate()[0]
+
+    def trace(self):
         m = self.mult_matrix()
         return m[0][0] + m[1][1] + m[2][2]
 
-    def inv(self) -> "S2Elem":
-        """Inverse via the adjugate; needs the norm to be invertible."""
-        m = self.mult_matrix()
-        det = self.norm()
-        det_inv = det.inv() if _is_unit_shaped(det) else None
-        adj0 = [m[1][1] * m[2][2] - m[1][2] * m[2][1],
-                m[1][2] * m[2][0] - m[1][0] * m[2][2],
-                m[1][0] * m[2][1] - m[1][1] * m[2][0]]
-        if det_inv is not None:
-            return S2Elem(*(x * det_inv for x in adj0))
-        return S2Elem(*(x.div(det) for x in adj0))
+    def inv(self):
+        """Adjugate over norm; ValueError unless the norm is a base unit."""
+        det, adj = self._norm_and_adjugate()
+        det_inv = det.inv()
+        return type(self)(*(x * det_inv for x in adj))
 
     def __truediv__(self, other):
-        other = _coerce2(other)
+        other = self._lift(other)
         if other is None:
             return NotImplemented
         return self * other.inv()
@@ -366,12 +352,12 @@ class S2Elem:
     def to_json(self):
         return [x.to_json() for x in self.c]
 
-    @staticmethod
-    def from_json(data) -> "S2Elem":
-        return S2Elem(*(SFrac.from_json(x) for x in data))
+    @classmethod
+    def from_json(cls, data):
+        return cls(*(cls.base.from_json(x) for x in data))
 
     def __str__(self):
-        names = ["1", "d", "d^2"]
+        names = ("1", self._symbol, self._symbol + "^2")
         parts = ["(%s)*%s" % (x, n) for x, n in zip(self.c, names)
                  if not x.is_zero()]
         return " + ".join(parts) if parts else "0"
@@ -379,139 +365,30 @@ class S2Elem:
     __repr__ = __str__
 
 
-def _is_unit_shaped(x: SFrac) -> bool:
-    if x.is_zero():
-        return False
-    num = x.num
-    while num.divisible_by_int(2) and not num.is_zero():
-        num = num.divide_int_exact(2)
-    while True:
-        quo, rem = num.divmod_monic(DISC)
-        if not rem.is_zero():
-            break
-        num = quo
-    return num == ONE or num == Poly(-1)
+#: a' = a^2 + 3d - a*d^2, the coefficient of the isogeny's target curve
+#: (`curve.isogeny_series` re-derives it from the series).
+TARGET_A = S2Elem(A * A, 3, -A)
+
+# The image of d' under the folding map d' -> a - d^2.
+_FOLDED_DPRIME = S2Elem(A, 0, -1)
 
 
-def _coerce2(x):
-    if isinstance(x, S2Elem):
-        return x
-    if isinstance(x, (int, Poly, SFrac)):
-        return S2Elem(x, 0, 0)
-    return None
+class S22Elem(S2Elem):
+    """c0 + c1*d' + c2*d'^2 over S2, with d'^3 = a'*d' + 2."""
 
-
-class S22Elem:
-    """sum c[j][k] * d^j * d'^k, 0 <= j, k <= 2, with c[j][k] in S[1/2]."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, table=None):
-        grid = [[S_ZERO] * 3 for _ in range(3)]
-        if table is not None:
-            for (j, k), val in table.items():
-                grid[j][k] = _coerce(val)
-        self.c = tuple(tuple(row) for row in grid)
+    __slots__ = ()
+    base = S2Elem
+    a_coeff = TARGET_A
+    _symbol = "d'"
 
     @staticmethod
     def dprime() -> "S22Elem":
-        return S22Elem({(0, 1): S_ONE})
-
-    @staticmethod
-    def from_s2(x: S2Elem) -> "S22Elem":
-        return S22Elem({(j, 0): x.c[j] for j in range(3)})
-
-    def is_zero(self):
-        return all(v.is_zero() for row in self.c for v in row)
-
-    def __eq__(self, other):
-        other = _coerce22(other)
-        if other is None:
-            return NotImplemented
-        return self.c == other.c
-
-    def __neg__(self):
-        return S22Elem({(j, k): -self.c[j][k]
-                        for j in range(3) for k in range(3)})
-
-    def __add__(self, other):
-        other = _coerce22(other)
-        if other is None:
-            return NotImplemented
-        return S22Elem({(j, k): self.c[j][k] + other.c[j][k]
-                        for j in range(3) for k in range(3)})
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce22(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = _coerce22(other)
-        if other is None:
-            return NotImplemented
-        table = {}
-        for j1 in range(3):
-            for k1 in range(3):
-                x = self.c[j1][k1]
-                if x.is_zero():
-                    continue
-                for j2 in range(3):
-                    for k2 in range(3):
-                        y = other.c[j2][k2]
-                        if y.is_zero():
-                            continue
-                        _add(table, (j1 + j2, k1 + k2), x * y)
-        return S22Elem(_reduce_dprime(table))
-
-    __rmul__ = __mul__
+        return S22Elem(0, 1, 0)
 
     def f_star(self) -> S2Elem:
         """Push down along d' -> a - d^2 (the covering's folding map)."""
-        a = SFrac(Poly((0, 1)))
-        # dp_img[k] = (a - d^2)^k reduced; note (a-d^2)^2 = a^2 + 2d - a*d^2.
-        dp_img = [S2Elem(1), S2Elem(a, 0, -1), S2Elem(a * a, 2, -a)]
-        out = S2Elem(0)
-        for j in range(3):
-            for k in range(3):
-                cjk = self.c[j][k]
-                if cjk.is_zero():
-                    continue
-                out = out + S2Elem(cjk) * (S2Elem.d() ** j) * dp_img[k]
-        return out
-
-    def to_json(self):
-        return [[self.c[j][k].to_json() for k in range(3)] for j in range(3)]
-
-    @staticmethod
-    def from_json(data) -> "S22Elem":
-        return S22Elem({(j, k): SFrac.from_json(data[j][k])
-                        for j in range(3) for k in range(3)})
-
-    def __str__(self):
-        names = [["1", "d'", "d'^2"], ["d", "d*d'", "d*d'^2"],
-                 ["d^2", "d^2*d'", "d^2*d'^2"]]
-        parts = []
-        for j in range(3):
-            for k in range(3):
-                if not self.c[j][k].is_zero():
-                    parts.append("(%s)*%s" % (self.c[j][k], names[j][k]))
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
-
-
-def _coerce22(x):
-    if isinstance(x, S22Elem):
-        return x
-    if isinstance(x, S2Elem):
-        return S22Elem.from_s2(x)
-    if isinstance(x, (int, Poly, SFrac)):
-        return S22Elem({(0, 0): x})
-    return None
+        c0, c1, c2 = self.c
+        return (c2 * _FOLDED_DPRIME + c1) * _FOLDED_DPRIME + c0
 
 
 def tower_reduce(monomials) -> S22Elem:
@@ -523,9 +400,20 @@ def tower_reduce(monomials) -> S22Elem:
     """
     table = {}
     for (i, j, k), coeff in monomials.items():
-        c = _coerce(coeff)
-        _add(table, (j, k), c * SFrac(Poly.a_power(i)))
-    return S22Elem(_reduce_dprime(table))
+        term = _coerce(coeff)
+        if i:
+            term = term * SFrac(Poly.a_power(i))
+        table[j, k] = table.get((j, k), S_ZERO) + term
+    out = S22Elem()
+    for (j, k), coeff in table.items():
+        x = S2Elem(coeff)
+        if j:
+            x = x * S2Elem.d() ** j
+        y = S22Elem(x)
+        if k:
+            y = y * S22Elem.dprime() ** k
+        out = out + y if out else y
+    return out
 
 
 _TOWER_ATOMS = {"a": 0, "d": 1, "d'": 2}

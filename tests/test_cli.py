@@ -148,6 +148,14 @@ class TestScalarOperators:
         norm = NormContext("R").norm_N
         assert out == "%s\n" % norm(norm(Poly([-3, 1])))
 
+    def test_norm_prints_answers_past_the_int_digit_limit(self, capsys):
+        # 2^60000 has 18062 digits, past Python's default limit of 4300 for
+        # int <-> str conversion; the input is well formed, so exit 0.
+        code, out, err = run_cli(capsys, "norm", "2^20000")
+        assert (code, err) == (0, "")
+        assert len(out) == 18063
+        assert int(out) == 2 ** 60000
+
     def test_norm_rejects_tower_elements(self, capsys):
         code, _, err = run_cli(capsys, "norm", "d")
         assert code == 2

@@ -1,5 +1,8 @@
 import random
+from functools import reduce
+from operator import mul
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerops.poly import Poly, A, DISC
@@ -11,7 +14,7 @@ from powerops.tower import (SFrac, S2Elem, S22Elem, tower_reduce,
 #
 # Reduce a^i d^j d'^k monomials by literally substituting d^3 = a*d + 2 and
 # d'^3 = (a^2 + 3d - a*d^2)*d' + 2 until stable, with Poly coefficients and
-# no shared code with tower._reduce_dprime.
+# no shared code with the product of tower.S2Elem.
 
 def oracle_reduce(monos):
     table = {}
@@ -43,7 +46,7 @@ def as_oracle_table(elem: S22Elem):
     out = {}
     for j in range(3):
         for k in range(3):
-            c = elem.c[j][k]
+            c = elem.c[k].c[j]
             if not c.is_zero():
                 assert c.is_in_R()
                 out[(j, k)] = c.num
@@ -98,7 +101,7 @@ def test_parse_reads_what_poly_prints(coeffs):
     elem = parse_tower_expr(str(p))
     for j in range(3):
         for k in range(3):
-            assert elem.c[j][k] == (SFrac(p) if (j, k) == (0, 0) else 0)
+            assert elem.c[k].c[j] == (SFrac(p) if (j, k) == (0, 0) else 0)
 
 
 def test_sfrac_minimal_form():
@@ -142,6 +145,28 @@ def test_sfrac_inverse_and_div():
         assert False
     except ValueError:
         pass
+
+
+def test_sfrac_inverts_every_unit():
+    # a - 3 divides D = (a - 3)(a^2 + 3a + 9), so it is a unit of S
+    x = SFrac(A - 3)
+    assert x.inv() == SFrac(A ** 2 + 3 * A + 9, 1) == x ** -1
+    assert x * x.inv() == 1
+    for non_unit in (SFrac(A), SFrac(3), SFrac(A - 1, 1, 2)):
+        with pytest.raises(ValueError):
+            non_unit.inv()
+    with pytest.raises(ZeroDivisionError):
+        SFrac(0).inv()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([1, -1]), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_sfrac_inverse_of_products_of_prime_units(sign, e, i, j, dpow, tpow):
+    x = SFrac(sign * 2 ** e * (A - 3) ** i * (A ** 2 + 3 * A + 9) ** j,
+              dpow, tpow)
+    assert is_unit_of_S(x)
+    assert x * x.inv() == 1 and x.inv() == x ** -1
 
 
 def test_sfrac_div_by_even():
@@ -218,7 +243,7 @@ def test_s22_fstar():
     assert dp.f_star() == S2Elem(A, 0, -1)
     assert (dp * dp).f_star() == S2Elem(A ** 2, 2, -A)
     # d * (a - d^2) = -2: check through the ring structure
-    d_in_s22 = S22Elem({(1, 0): 1})
+    d_in_s22 = S22Elem(S2Elem.d())
     assert (d_in_s22 * dp).f_star() == S2Elem(-2)
 
 
@@ -277,3 +302,114 @@ def test_equal_to_an_int_means_hashed_as_it(n, coeffs, dpow, tpow):
     assert Poly(n) == SFrac(n) and SFrac(n) == Poly(n)
     assert Poly(n) == S2Elem(n) and S2Elem(n) == Poly(n)
     assert {Poly(n): "v"}.get(SFrac(n)) == "v"
+
+
+# --- ring laws of the cubic extensions S2 and S22 ---------------------------
+
+
+def is_unit_of_S(x: SFrac) -> bool:
+    """x is +-2^s (a - 3)^i (a^2 + 3a + 9)^j / (2^t D^r), with the prime
+    factors of 2D stripped one at a time from the numerator."""
+    num = x.num
+    if num.is_zero():
+        return False
+    while num.divisible_by_int(2):
+        num = num.divide_int_exact(2)
+    for factor in (A - 3, A ** 2 + 3 * A + 9):
+        while True:
+            quo, rem = num.divmod_monic(factor)
+            if not rem.is_zero():
+                break
+            num = quo
+    return num in (Poly(1), Poly(-1))
+
+
+def products_of(gens, unit):
+    """Products of up to three generators times a unit +-1/(2^s D^r)."""
+    return st.builds(
+        lambda sign, dpow, tpow, picks: reduce(
+            mul, (gens[i] for i in picks), unit(SFrac(sign, dpow, tpow))),
+        st.sampled_from([1, -1]), st.integers(0, 2), st.integers(0, 2),
+        st.lists(st.integers(0, len(gens) - 1), max_size=3))
+
+
+# Coefficients carry 2- and D-power denominators.
+sfracs = st.builds(lambda c, dpow, tpow: SFrac(Poly(c), dpow, tpow),
+                   st.lists(st.integers(-4, 4), max_size=3),
+                   st.integers(0, 2), st.integers(0, 2))
+s2s = st.builds(S2Elem, sfracs, sfracs, sfracs)
+s22s = st.builds(S22Elem, s2s, s2s, s2s)
+
+# N(c - d) = c^3 - a c - 2, so d + 1 and d - 2 have norms a - 3 and
+# 2(a - 3), units of S; d^2 - a = 2/d.
+D2 = S2Elem.d()
+S2_UNIT_GENS = [D2, D2 + 1, D2 - 2, D2 * D2 - A, S2Elem(A - 3),
+                S2Elem(A ** 2 + 3 * A + 9)]
+s2_units = products_of(S2_UNIT_GENS, S2Elem)
+s22_units = products_of([S22Elem.dprime()]
+                        + [S22Elem(g) for g in S2_UNIT_GENS], S22Elem)
+
+
+def check_ring_laws(x, y, z):
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x - y) + y == x
+    assert x * 1 == x and x + 0 == x and x * 0 == 0
+
+
+def check_inverse(x, norm_to_S):
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+    elif is_unit_of_S(norm_to_S):
+        assert x * x.inv() == 1
+        assert x.inv() == x ** -1 and x / x == 1
+    else:
+        with pytest.raises(ValueError):
+            x.inv()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(s2s, s2s, s2s)
+def test_s2_ring_laws(x, y, z):
+    check_ring_laws(x, y, z)
+    assert (x * y).norm() == x.norm() * y.norm()
+    assert (x + y).trace() == x.trace() + y.trace()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(s2s, s2_units))
+def test_s2_inverse_exactly_when_norm_is_unit(x):
+    check_inverse(x, x.norm())
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(s22s, s22s, s22s)
+def test_s22_ring_laws(x, y, z):
+    check_ring_laws(x, y, z)
+    assert (x * y).norm() == x.norm() * y.norm()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(s22s, s22_units))
+def test_s22_inverse_exactly_when_norm_is_unit(x):
+    # An S2-element is a unit exactly when its norm to S is one.
+    check_inverse(x, x.norm().norm())
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(s22s, s22s)
+def test_s22_fstar_is_a_ring_map(x, y):
+    assert (x + y).f_star() == x.f_star() + y.f_star()
+    assert (x * y).f_star() == x.f_star() * y.f_star()
+    assert S22Elem(x.f_star()).f_star() == x.f_star()
+
+
+def test_s22_has_zero_divisors():
+    # a - d^2 is a root of the second cubic inside S2, so S22 is not a
+    # domain: d' - (a - d^2) is nonzero, has norm 0 and is not invertible.
+    x = S22Elem.dprime() - (A - D2 * D2)
+    assert not x.is_zero() and x.norm() == 0 and x.f_star() == 0
+    with pytest.raises(ZeroDivisionError):
+        x.inv()
