@@ -48,7 +48,7 @@ from __future__ import annotations
 from .poly import Poly, ZERO, ONE, A, power, format_terms, summands
 from .tower import SFrac, S_ONE
 from .mpoly import MPoly
-from .opalgebra import (Operation, push_poly, push_through, psi,
+from .opalgebra import (CARTAN, Operation, push_poly, push_through, psi,
                         basis_of_degree, _merge)
 from .opmodules import standard_module, act
 
@@ -282,13 +282,15 @@ class AmplifiedRing:
     # -- the Q-operations --------------------------------------------------
 
     def _cartan(self, c, d):
-        a = self.const(A)
-        two = self.const(2)
-        p0 = c[0] * d[0] + two * c[1] * d[2] + two * c[2] * d[1]
-        p1 = (c[0] * d[1] + c[1] * d[0] + a * c[1] * d[2] + a * c[2] * d[1]
-              + two * c[2] * d[2])
-        p2 = c[0] * d[2] + c[2] * d[0] + c[1] * d[1] + a * c[2] * d[2]
-        return (p0, p1, p2)
+        """(Q0, Q1, Q2) of a product from those of its factors (`CARTAN`)."""
+        out = []
+        for rule in CARTAN:
+            terms = {}
+            for coeff, l, m in rule:
+                _merge(terms, (c[l] * d[m]).terms,
+                       None if coeff == ONE else coeff)
+            out.append(_trusted(self, terms))
+        return tuple(out)
 
     def _q_gen(self, g):
         cached = self._q_gen_memo.get(g)

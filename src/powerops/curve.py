@@ -30,12 +30,13 @@ silently choosing one.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 from .poly import Poly, ZERO, ONE, A, format_terms
 from .series import Series
 from .tower import SFrac, S2Elem, S22Elem, TARGET_A
-from .opalgebra import Operation, push_through, psi
+from .opalgebra import CARTAN, Operation, push_through, psi
 from .normlog import q_triple_R
 
 __all__ = ["ChartPoint", "OrderTwoDatum", "IsogenyData", "ORDER_TWO",
@@ -395,16 +396,14 @@ def cartan_projective_check(order: int = 10) -> dict:
 
     P(u)^2 decomposed against {1, d, d^2} must agree with the series
     obtained by feeding Q_i(u) through the product rule for Q_i(u * u);
-    the first route uses only tower arithmetic, the second the stored
-    pairwise structure constants.
+    the first route uses only tower arithmetic, the second the structure
+    constants of `CARTAN`.
     """
-    q0, q1, q2 = q_series_on_u(order)
+    q = q_series_on_u(order)
     u2 = isogeny_series(order).u_series
     square = u2 * u2
-    expected = (q0 * q0 + (q1 * q2).scale(4),
-                (q0 * q1).scale(2) + (q1 * q2).scale(Poly((0, 2)))
-                + (q2 * q2).scale(2),
-                (q0 * q2).scale(2) + q1 * q1 + (q2 * q2).scale(A))
+    expected = [reduce(add, ((q[l] * q[m]).scale(c) for c, l, m in rule))
+                for rule in CARTAN]
     depth = min([square.order] + [s.order for s in expected])
     ok = True
     for n in range(depth):

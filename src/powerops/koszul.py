@@ -36,8 +36,8 @@ leading g x 3g block of d1 and 3g x 2g block of d2, g the rank of M.
 
 from __future__ import annotations
 
-from .poly import Poly, ZERO, ONE, A
-from .opalgebra import Operation, basis_of_degree, push_poly
+from .poly import ZERO, ONE, A
+from .opalgebra import Operation, RELATIONS, basis_of_degree, push_poly
 from .opmodules import (ModulePresentation, omega_power, act,
                         check_well_defined)
 from .linalg import (Matrix, ZZ, QA, F2A, ring_by_name, smith_normal_form,
@@ -48,16 +48,6 @@ __all__ = ["RELATIONS", "k1_right_a_matrix", "TruncatedComplex",
            "build_complex", "acyclicity_check", "tor_reduced",
            "tor_gamma_mod_I", "identification_check",
            "truncation_stability_check"]
-
-
-# Relations sum_t x_t y_t = 0 among the generators, stored as
-# (coefficient, i, j) for the summand coefficient * Q_i * Q_j:
-#   r1:  Q1 Q0 - 2 Q2 Q1 + 2 Q0 Q2 = 0
-#   r2:  Q2 Q0 - Q0 Q1 - a Q0 Q2 + 2 Q1 Q2 = 0
-RELATIONS = (
-    ((ONE, 1, 0), (Poly(-2), 2, 1), (Poly(2), 0, 2)),
-    ((ONE, 2, 0), (Poly(-1), 0, 1), (-A, 0, 2), (Poly(2), 1, 2)),
-)
 
 
 def k1_right_a_matrix():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import Poly, _dense_mul
 
 __all__ = ["Matrix", "IntRing", "FieldPolyRing", "ZZ", "QA", "F2A",
            "ring_by_name", "mat_mul", "unit_pivot_elimination",
@@ -148,10 +148,8 @@ class FieldPolyRing:
             x, y = y, x
         out = list(x)
         for i, c in enumerate(y):
-            out[i] = out[i] + c
-            if self.char:
-                out[i] %= self.char
-        return self._trim(out)
+            out[i] += c
+        return self._reduce(out)
 
     def neg(self, x):
         if self.char:
@@ -164,14 +162,14 @@ class FieldPolyRing:
     def mul(self, x, y):
         if not x or not y:
             return ()
-        out = [self._s(0)] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    out[i + j] += xi * yj
+        return self._reduce(_dense_mul(x, y, zero=self._s(0)))
+
+    def _reduce(self, coeffs):
+        """Canonical form of a coefficient list: reduced mod the
+        characteristic, with no trailing zeros."""
         if self.char:
-            out = [c % self.char for c in out]
-        return self._trim(out)
+            coeffs = [c % self.char for c in coeffs]
+        return self._trim(coeffs)
 
     def divmod_pair(self, x, y):
         if not y:

@@ -12,6 +12,9 @@ and the two Adem-type straightening rules
     Q1*Q0 = 2*Q2*Q1 - 2*Q0*Q2
     Q2*Q0 = Q0*Q1 + a*Q0*Q2 - 2*Q1*Q2.
 
+These rules, and the Cartan formula for products, are written once as the
+data `COMMUTATION`, `RELATIONS` and `CARTAN`.
+
 Every element is an R-linear combination of admissible monomials
 Q0^j Qk1 ... Qkr with each ki in {1, 2}; the degree-k piece is free of rank
 2^(k+1) - 1.  `Operation` stores the admissible form as {(j, word): Poly}.
@@ -29,7 +32,8 @@ from functools import lru_cache
 
 from .poly import Poly, A, ONE, ZERO, format_terms, summands
 
-__all__ = ["Operation", "normal_form", "psi", "basis_of_degree",
+__all__ = ["Operation", "normal_form", "psi", "COMMUTATION", "RELATIONS",
+           "CARTAN", "basis_of_degree",
            "push_through", "push_poly", "parse_terms", "check_confluence",
            "GAMMA_RANKS"]
 
@@ -37,6 +41,42 @@ __all__ = ["Operation", "normal_form", "psi", "basis_of_degree",
 def GAMMA_RANKS(k: int) -> int:
     """Rank of the degree-k piece: 2^(k+1) - 1."""
     return (1 << (k + 1)) - 1
+
+
+# --- the presentation -------------------------------------------------------
+#
+# Every engine reads the rules from these tables.  The independent checks
+# type their own copies, so that they check these: the naive rewriter
+# below, `WitnessModel`, `check_well_defined`, `omega_power_closed`, the
+# curve derivations, the tower's cubic product and `normlog.psi_value`.
+
+#: Q_i * a = sum_l COMMUTATION[i][l] * Q_l.
+COMMUTATION = ((A * A, -2 * A, Poly(6)),
+               (Poly(3), ZERO, A),
+               (-A, Poly(3), ZERO))
+
+#: The straightening relations sum_t c_t Q_i Q_j = 0 as (c, i, j) triples;
+#: relation k - 1 starts with (1, k, 0), so it rewrites Q_k Q0.
+RELATIONS = (
+    ((ONE, 1, 0), (Poly(-2), 2, 1), (Poly(2), 0, 2)),
+    ((ONE, 2, 0), (Poly(-1), 0, 1), (-A, 0, 2), (Poly(2), 1, 2)),
+)
+
+#: The Cartan formula: Q_k(x y) = sum c * Q_l x * Q_m y over the (c, l, m)
+#: of CARTAN[k]; equivalently P(x) = Q0 x + Q1 x d + Q2 x d^2 is
+#: multiplicative when d^3 = a d + 2.
+CARTAN = (
+    ((ONE, 0, 0), (Poly(2), 1, 2), (Poly(2), 2, 1)),
+    ((ONE, 0, 1), (ONE, 1, 0), (A, 1, 2), (A, 2, 1), (Poly(2), 2, 2)),
+    ((ONE, 0, 2), (ONE, 2, 0), (ONE, 1, 1), (A, 2, 2)),
+)
+
+
+def psi() -> Operation:
+    """The central element Q0Q0 + a Q0Q1 - 2 Q1Q1 + a^2 Q0Q2 - 2a Q1Q2 + 4 Q2Q2."""
+    return Operation({(2, ()): ONE, (1, (1,)): A, (0, (1, 1)): Poly(-2),
+                      (1, (2,)): A * A, (0, (1, 2)): -2 * A,
+                      (0, (2, 2)): Poly(4)})
 
 
 # --- raw admissible-form arithmetic ----------------------------------------
@@ -57,73 +97,38 @@ def _merge(target, source, factor=None):
     return target
 
 
-@lru_cache(maxsize=None)
-def _mono_times_a(j: int, word: tuple):
-    """(Q0^j Q_word) * a in admissible form."""
-    if not word:
-        if j == 0:
-            return {(0, ()): A}
-        # Q0^j a = (Q0^(j-1) a^2) Q0 - 2 (Q0^(j-1) a) Q1 + 6 Q0^(j-1) Q2
-        u = _mono_times_a(j - 1, ())
-        ua = _times_a(u)
-        out = {}
-        _merge(out, _append_q(ua, 0))
-        _merge(out, _append_q(u, 1), Poly(-2))
-        _merge(out, {(j - 1, (2,)): Poly(6)})
-        return out
-    head, k = (j, word[:-1]), word[-1]
-    if k == 1:
-        # ... Q1 a = ...(3 Q0 + a Q2)
-        out = {}
-        _merge(out, _append_q({head: ONE}, 0), Poly(3))
-        _merge(out, _append_q(_mono_times_a(*head), 2))
-        return out
-    # ... Q2 a = ...(-a Q0 + 3 Q1)
-    out = {}
-    _merge(out, _append_q(_mono_times_a(*head), 0), Poly(-1))
-    _merge(out, {(j, word[:-1] + (1,)): Poly(3)})
-    return out
-
-
-def _times_a(terms):
+def _times(terms, x):
+    """terms * x for a letter x: "a", or Q0, Q1, Q2 written 0, 1, 2."""
+    if x == 1 or x == 2:
+        return {(j, word + (x,)): c for (j, word), c in terms.items()}
     out = {}
     for (j, word), c in terms.items():
-        _merge(out, _mono_times_a(j, word), c)
+        _merge(out, _mono_times(j, word, x), c)
     return out
 
 
 @lru_cache(maxsize=None)
-def _mono_q0(j: int, word: tuple):
-    """(Q0^j Q_word) * Q0 in admissible form."""
-    if not word:
+def _mono_times(j: int, word: tuple, x):
+    """(Q0^j Q_word) * x in admissible form, for x = "a" or x = 0 (Q0).
+
+    The last letter Q_k meets a through COMMUTATION[k] and meets Q0 through
+    RELATIONS[k - 1], whose first term is Q_k Q0 itself.
+    """
+    if not word and x == 0:
         return {(j + 1, ()): ONE}
-    head, k = (j, word[:-1]), word[-1]
-    out = {}
-    if k == 1:
-        # Q1 Q0 -> 2 Q2 Q1 - 2 Q0 Q2
-        _merge(out, {(j, word[:-1] + (2, 1)): Poly(2)})
-        _merge(out, _append_q(_mono_q0(*head), 2), Poly(-2))
+    if not word and not j:
+        return {(0, ()): A}
+    head, k = ((j, word[:-1]), word[-1]) if word else ((j - 1, ()), 0)
+    if x == "a":
+        rhs = [(c, (l,)) for l, c in enumerate(COMMUTATION[k]) if c]
     else:
-        # Q2 Q0 -> Q0 Q1 + a Q0 Q2 - 2 Q1 Q2
-        _merge(out, _append_q(_mono_q0(*head), 1))
-        _merge(out, _append_q(_q0_dict(_times_a({head: ONE})), 2))
-        _merge(out, {(j, word[:-1] + (1, 2)): Poly(-2)})
-    return out
-
-
-def _q0_dict(terms):
+        rhs = [(-c, (i, l)) for c, i, l in RELATIONS[k - 1][1:]]
     out = {}
-    for (j, word), c in terms.items():
-        _merge(out, _mono_q0(j, word), c)
-    return out
-
-
-def _append_q(terms, i: int):
-    if i == 0:
-        return _q0_dict(terms)
-    out = {}
-    for (j, word), c in terms.items():
-        _merge(out, {(j, word + (i,)): c})
+    for c, letters in rhs:
+        t = _times_poly({head: ONE}, c)
+        for letter in letters:
+            t = _times(t, letter)
+        _merge(out, t)
     return out
 
 
@@ -134,7 +139,7 @@ def _times_poly(terms, p: Poly):
         if coeff:
             _merge(out, power, Poly(coeff))
         if k + 1 < len(p.coeffs):
-            power = _times_a(power)
+            power = _times(power, "a")
     return out
 
 
@@ -142,10 +147,8 @@ def _raw_multiply(x, y):
     out = {}
     for (j2, w2), q in y.items():
         t = _times_poly(x, q)
-        for _ in range(j2):
-            t = _append_q(t, 0)
-        for letter in w2:
-            t = _append_q(t, letter)
+        for letter in (0,) * j2 + w2:
+            t = _times(t, letter)
         _merge(out, t)
     return out
 
@@ -165,12 +168,12 @@ def push_through(i: int, k: int):
         raise ValueError("negative exponent")
     rows = _PUSHED_ROWS
     while len(rows) <= k:
+        # Q_i a^(k+1) = sum_l COMMUTATION[i][l] Q_l a^k
         t = rows[-1]
-        rows.append((
-            tuple(A * A * t[0][j] - 2 * A * t[1][j] + 6 * t[2][j]
-                  for j in range(3)),
-            tuple(3 * t[0][j] + A * t[2][j] for j in range(3)),
-            tuple(-A * t[0][j] + 3 * t[1][j] for j in range(3))))
+        rows.append(tuple(
+            tuple(sum((c * t[l][j] for l, c in enumerate(row) if c), ZERO)
+                  for j in range(3))
+            for row in COMMUTATION))
     return rows[k][i]
 
 
@@ -222,11 +225,9 @@ class Operation:
         """Product of tokens from {'a', 'Q0', 'Q1', 'Q2'} (or ints 0,1,2)."""
         cur = {(0, ()): ONE}
         for tok in letters:
-            if tok == "a":
-                cur = _times_a(cur)
-            else:
-                i = int(tok[1]) if isinstance(tok, str) else int(tok)
-                cur = _append_q(cur, i)
+            if tok not in ("a", "Q0", "Q1", "Q2", 0, 1, 2):
+                raise ValueError("unknown letter %r" % (tok,))
+            cur = _times(cur, tok if tok == "a" else int(str(tok)[-1]))
         return Operation(cur)
 
     # -- structure ---------------------------------------------------------
@@ -240,10 +241,6 @@ class Operation:
         if len(degs) > 1:
             raise ValueError("inhomogeneous element")
         return degs.pop() if degs else None
-
-    def homogeneous_part(self, k: int) -> "Operation":
-        return Operation({m: c for m, c in self.terms.items()
-                          if m[0] + len(m[1]) == k})
 
     def coefficient(self, j: int, word) -> Poly:
         return self.terms.get((j, tuple(word)), ZERO)
@@ -309,13 +306,6 @@ class Operation:
                             for (j, w), c in self.sorted_terms())
 
     __repr__ = __str__
-
-
-def psi() -> Operation:
-    """The central element Q0Q0 + a Q0Q1 - 2 Q1Q1 + a^2 Q0Q2 - 2a Q1Q2 + 4 Q2Q2."""
-    return Operation({(2, ()): ONE, (1, (1,)): A, (0, (1, 1)): Poly(-2),
-                      (1, (2,)): A * A, (0, (1, 2)): -2 * A,
-                      (0, (2, 2)): Poly(4)})
 
 
 def basis_of_degree(k: int):
@@ -434,7 +424,8 @@ def _word_table_to_operation(table) -> Operation:
         while j < len(rest) and rest[j] == 0:
             j += 1
         tail = tuple(rest[j:])
-        assert all(t in (1, 2) for t in tail), word
+        if any(t not in (1, 2) for t in tail):
+            raise ValueError("word %r is not in normal form" % (word,))
         mono = (j, tail)
         cur = out.get(mono, ZERO)
         out[mono] = cur + Poly(c).shift(n_a)

@@ -8,17 +8,13 @@ Q_i p = c0 Q0 + c1 Q1 + c2 Q2 in the operation algebra.
 Shipped examples: the standard module R (Q0 acts as 1), the rank-1 module
 omega with Q1 u = -u (the reduced cohomology of the 2-sphere), its tensor
 powers, and the rank-2 sum R + omega.  Tensor products carry the Cartan
-action:
-
-    Q0(x@y) = Q0x@Q0y + 2 Q1x@Q2y + 2 Q2x@Q1y
-    Q1(x@y) = Q0x@Q1y + Q1x@Q0y + a Q1x@Q2y + a Q2x@Q1y + 2 Q2x@Q2y
-    Q2(x@y) = Q0x@Q2y + Q2x@Q0y + Q1x@Q1y + a Q2x@Q2y
+action `opalgebra.CARTAN`.
 """
 
 from __future__ import annotations
 
 from .poly import Poly, ZERO, ONE, A
-from .opalgebra import Operation, push_poly
+from .opalgebra import CARTAN, Operation, push_poly
 
 __all__ = ["ModulePresentation", "standard_module", "omega", "omega_power",
            "omega_power_closed", "two_sphere", "act", "tensor",
@@ -199,18 +195,9 @@ def tensor(m1: ModulePresentation, m2: ModulePresentation) -> ModulePresentation
         for k2 in range(n2):
             y = [m2.column(i, k2) for i in range(3)]
             k = k1 * n2 + k2
-            add_block(mats[0], k, x[0], y[0], ONE)
-            add_block(mats[0], k, x[1], y[2], Poly(2))
-            add_block(mats[0], k, x[2], y[1], Poly(2))
-            add_block(mats[1], k, x[0], y[1], ONE)
-            add_block(mats[1], k, x[1], y[0], ONE)
-            add_block(mats[1], k, x[1], y[2], A)
-            add_block(mats[1], k, x[2], y[1], A)
-            add_block(mats[1], k, x[2], y[2], Poly(2))
-            add_block(mats[2], k, x[0], y[2], ONE)
-            add_block(mats[2], k, x[2], y[0], ONE)
-            add_block(mats[2], k, x[1], y[1], ONE)
-            add_block(mats[2], k, x[2], y[2], A)
+            for target, rule in zip(mats, CARTAN):
+                for c, l, m in rule:
+                    add_block(target, k, x[l], y[m], c)
     return ModulePresentation(rank, *mats)
 
 

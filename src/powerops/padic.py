@@ -16,7 +16,7 @@ makes sense over Z2 with no division by 2.
 
 from __future__ import annotations
 
-from .poly import Poly, DISC, power
+from .poly import Poly, DISC, power, _dense_mul, _series_reciprocal
 from .tower import SFrac
 
 __all__ = ["PadicElem", "PrecisionError", "log_half", "DEFAULT_PREC2",
@@ -135,14 +135,7 @@ class PadicElem:
         other, n, m = self._common(other)
         if other is None:
             return NotImplemented
-        out = [0] * m
-        for i, ci in enumerate(self.res[:m]):
-            if ci:
-                for j in range(m - i):
-                    cj = other.res[j]
-                    if cj:
-                        out[i + j] += ci * cj
-        return PadicElem(out, n, m)
+        return PadicElem(_dense_mul(self.res[:m], other.res[:m], m), n, m)
 
     __rmul__ = __mul__
 
@@ -171,15 +164,10 @@ class PadicElem:
         """Reciprocal of a unit (odd constant coefficient)."""
         if not self.is_unit():
             raise ValueError("not a unit: even constant coefficient")
-        mod = 1 << self.prec2
-        c0_inv = pow(self.res[0], -1, mod)
-        out = [c0_inv] + [0] * (self.precA - 1)
-        for n in range(1, self.precA):
-            acc = 0
-            for k in range(1, n + 1):
-                acc += self.res[k] * out[n - k]
-            out[n] = (-c0_inv * acc) % mod
-        return PadicElem(out, self.prec2, self.precA)
+        # The constructor reduces the exact coefficients mod 2^prec2.
+        c0_inv = pow(self.res[0], -1, 1 << self.prec2)
+        return PadicElem(_series_reciprocal(self.res, self.precA, c0_inv),
+                         self.prec2, self.precA)
 
     def with_precision(self, prec2=None, precA=None) -> "PadicElem":
         """Restrict (never extend) the claimed precision."""

@@ -148,12 +148,7 @@ class Poly:
             return ZERO
         # Z is a domain, so the product of the leading coefficients is the
         # nonzero top coefficient: nothing to trim.
-        out = [0] * (len(x) + len(y) - 1)
-        for i, ci in enumerate(x):
-            if ci:
-                for j, cj in enumerate(y, i):
-                    out[j] += ci * cj
-        return _trusted(tuple(out))
+        return _trusted(tuple(_dense_mul(x, y)))
 
     __rmul__ = __mul__
 
@@ -289,6 +284,31 @@ def power(x, n: int, one):
         out = out * out
         if bit == "1":
             out = out * x
+    return out
+
+
+def _dense_mul(x, y, n=None, zero=0):
+    """The product of two dense coefficient sequences (index = exponent) as
+    a list, cut to its first n coefficients when n is given; `zero` is the
+    zero of the coefficient ring.  Zero coefficients of x are skipped."""
+    size = len(x) + len(y) - 1 if n is None else min(n, len(x) + len(y) - 1)
+    out = [zero] * size
+    for i, xi in enumerate(x[:size]):
+        if xi:
+            for j, yj in enumerate(y[:size - i], i):
+                out[j] += xi * yj
+    return out
+
+
+def _series_reciprocal(x, n: int, inv0, zero=0):
+    """The first n >= 1 coefficients of the power series 1/x, where x has at
+    least n coefficients and inv0 is the inverse of x[0]."""
+    out = [inv0]
+    for k in range(1, n):
+        acc = zero
+        for j in range(1, k + 1):
+            acc += x[j] * out[k - j]
+        out.append(-(inv0 * acc))
     return out
 
 

@@ -12,6 +12,8 @@ Coefficients can live in any commutative ring whose elements support
 
 from __future__ import annotations
 
+from .poly import _dense_mul, _series_reciprocal
+
 __all__ = ["Series"]
 
 
@@ -74,15 +76,8 @@ class Series:
             return self.scale(other)
         order = min(self.order + other.valuation(),
                     other.order + self.valuation())
-        out = [self.zero] * order
-        for i, ci in enumerate(self.coeffs):
-            if ci == self.zero:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if i + j >= order:
-                    break
-                out[i + j] = out[i + j] + ci * cj
-        return Series(out, order, self.zero, self.var)
+        return Series(_dense_mul(self.coeffs, other.coeffs, order, self.zero),
+                      order, self.zero, self.var)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -105,13 +100,8 @@ class Series:
         """Reciprocal; the constant coefficient must have .inv()."""
         if self.order == 0:
             return self
-        c0_inv = self.coeffs[0].inv()
-        out = [c0_inv] + [self.zero] * (self.order - 1)
-        for n in range(1, self.order):
-            acc = self.zero
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out[n] = -(c0_inv * acc)
+        out = _series_reciprocal(self.coeffs, self.order,
+                                self.coeffs[0].inv(), self.zero)
         return Series(out, self.order, self.zero, self.var)
 
     def __pow__(self, n: int):

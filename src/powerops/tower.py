@@ -224,7 +224,21 @@ class S2Elem:
 
     def __init__(self, c0=0, c1=0, c2=0):
         lift = self.base._lift
-        self.c = (lift(c0), lift(c1), lift(c2))
+        c = (lift(c0), lift(c1), lift(c2))
+        if c[0] is None or c[1] is None or c[2] is None:
+            raise TypeError("%r is not over %s" % ((c0, c1, c2),
+                                                   self.base.__name__))
+        self.c = c
+
+    @classmethod
+    def from_powers(cls, coeffs):
+        """sum coeffs[k] x^k, folded by x^k = A x^(k-2) + 2 x^(k-3)."""
+        c = list(coeffs) + [0] * (3 - len(coeffs))
+        for k in range(len(c) - 1, 2, -1):
+            if c[k]:
+                c[k - 2] = c[k - 2] + cls.a_coeff * c[k]
+                c[k - 3] = c[k - 3] + c[k] + c[k]
+        return cls(*c[:3])
 
     @classmethod
     def _lift(cls, x):
@@ -398,22 +412,16 @@ def tower_reduce(monomials) -> S22Elem:
     integer (or Poly / SFrac) coefficients.  Both defining relations are
     applied until every d- and d'-exponent is at most 2.
     """
-    table = {}
+    rows = {}  # d'-exponent -> S-coefficients of the powers of d
     for (i, j, k), coeff in monomials.items():
         term = _coerce(coeff)
         if i:
             term = term * SFrac(Poly.a_power(i))
-        table[j, k] = table.get((j, k), S_ZERO) + term
-    out = S22Elem()
-    for (j, k), coeff in table.items():
-        x = S2Elem(coeff)
-        if j:
-            x = x * S2Elem.d() ** j
-        y = S22Elem(x)
-        if k:
-            y = y * S22Elem.dprime() ** k
-        out = out + y if out else y
-    return out
+        row = rows.setdefault(k, [])
+        row += [S_ZERO] * (j + 1 - len(row))
+        row[j] = row[j] + term
+    return S22Elem.from_powers([S2Elem.from_powers(rows.get(k, ()))
+                                for k in range(max(rows, default=-1) + 1)])
 
 
 _TOWER_ATOMS = {"a": 0, "d": 1, "d'": 2}

@@ -418,6 +418,16 @@ class TestRingStrategies:
         assert QA.add(QA.mul(q, y), r) == x
         assert len(r) < len(y)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from([QA, F2A]),
+           st.lists(st.integers(-9, 9), max_size=5).map(Poly),
+           st.lists(st.integers(-9, 9), max_size=5).map(Poly))
+    def test_field_poly_arithmetic_is_poly_arithmetic(self, ring, x, y):
+        cx, cy = ring.coerce(x), ring.coerce(y)
+        assert ring.mul(cx, cy) == ring.coerce(x * y)
+        assert ring.add(cx, cy) == ring.coerce(x + y)
+        assert ring.sub(cx, cy) == ring.coerce(x - y)
+
     def test_format(self):
         assert ZZ.format(6) == 6
         assert QA.format(QA.coerce(A * A + 3)) == "a^2 + 3"

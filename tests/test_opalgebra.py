@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from powerops.opalgebra import (Operation, normal_form, psi,
+from powerops.opalgebra import (Operation, normal_form, psi, CARTAN,
                                 basis_of_degree, push_through, push_poly,
-                                parse_terms, check_confluence, GAMMA_RANKS)
+                                parse_terms, check_confluence, GAMMA_RANKS,
+                                _word_table_to_operation)
 from powerops.poly import Poly, A, ONE
+from powerops.tower import S2Elem
 
 
 def op(terms):
@@ -169,6 +172,11 @@ class TestScalarPushing:
 
 
 class TestParsing:
+    def test_unknown_letter_raises(self):
+        for word in (["Q5"], ["Q1", "Q7", "a"], [3]):
+            with pytest.raises(ValueError):
+                Operation.from_word(word)
+
     def test_parse_terms(self):
         assert parse_terms("3 Q0 a Q1 - 2 Q2") == [(3, ["Q0", "a", "Q1"]),
                                                    (-2, ["Q2"])]
@@ -218,6 +226,26 @@ class TestConfluence:
         assert report["divergences"] == []
         assert report["engine_mismatches"] == []
         assert report["words_checked"] > 2000
+
+
+    def test_oracle_rejects_a_word_out_of_normal_form(self):
+        # Q1 Q0 is a redex; the check must hold under python -O too.
+        with pytest.raises(ValueError):
+            _word_table_to_operation({(1, 0): 1})
+
+
+za = st.builds(Poly, st.lists(st.integers(-9, 9), max_size=4))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.tuples(za, za, za), st.tuples(za, za, za))
+def test_cartan_is_the_cubic_product(x, y):
+    # P(x) = Q0 x + Q1 x d + Q2 x d^2 is multiplicative: the d^k
+    # coefficient of P(x) P(y) in S2 is Q_k(x y) by the Cartan formula.
+    prod = S2Elem(*x) * S2Elem(*y)
+    for k, rule in enumerate(CARTAN):
+        assert prod.c[k] == sum((c * x[l] * y[m] for c, l, m in rule),
+                                Poly(0))
 
 
 class TestZeroHandling:

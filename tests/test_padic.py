@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerops.padic import PadicElem, PrecisionError, log_half
 from powerops.poly import Poly, A, DISC
@@ -123,3 +124,36 @@ def test_log_half_additivity():
 def test_json_roundtrip():
     x = PadicElem([3, 1 << 10], prec2=12, precA=2)
     assert PadicElem.from_json(x.to_json()) == x
+
+
+# --- exact Z[a] arithmetic as the oracle, at mixed precisions ---------------
+
+polys = st.lists(st.integers(-2000, 2000), max_size=7).map(Poly)
+precisions = st.tuples(st.integers(1, 24), st.integers(0, 8))
+
+
+def reduced(p: Poly, prec2: int, precA: int):
+    """The residues of p mod (2^prec2, a^precA)."""
+    return tuple(p[k] % (1 << prec2) for k in range(precA))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(polys, precisions, polys, precisions)
+def test_product_is_exact_product_reduced(x, px, y, py):
+    got = PadicElem.from_poly(x, *px) * PadicElem.from_poly(y, *py)
+    n, m = min(px[0], py[0]), min(px[1], py[1])
+    assert (got.prec2, got.precA) == (n, m)
+    assert got.res == reduced(x * y, n, m)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(polys, st.tuples(st.integers(1, 24), st.integers(1, 8)), polys,
+       precisions)
+def test_quotient_claims_only_what_it_knows(x, px, y, py):
+    # y / x at the smaller precision times x is y there, checked exactly;
+    # x is made a unit (odd constant term).
+    x = x - x.constant_term() + 2 * (x.constant_term() // 2) + 1
+    q = PadicElem.from_poly(y, *py) * PadicElem.from_poly(x, *px).inv()
+    n, m = min(px[0], py[0]), min(px[1], py[1])
+    assert (q.prec2, q.precA) == (n, m)
+    assert reduced(Poly(q.res) * x, n, m) == reduced(y, n, m)

@@ -406,6 +406,13 @@ def test_s22_fstar_is_a_ring_map(x, y):
     assert S22Elem(x.f_star()).f_star() == x.f_star()
 
 
+def test_coefficients_outside_the_base_raise():
+    with pytest.raises(TypeError):
+        S22Elem(S22Elem.dprime())
+    with pytest.raises(TypeError):
+        S2Elem("x")
+
+
 def test_s22_has_zero_divisors():
     # a - d^2 is a root of the second cubic inside S2, so S22 is not a
     # domain: d' - (a - d^2) is nonzero, has norm 0 and is not invertible.
