@@ -11,7 +11,9 @@ term ordering, JSON is emitted with sorted keys, and all randomized
 checks run from fixed seeds, so repeated runs are byte-identical.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 malformed
-input or usage, 3 internal error, 141 stdout closed by its reader.
+input or usage, 3 internal error, 141 stdout closed by its reader.  Input
+is checked where it enters: a handler raises `UsageError` for anything
+malformed, so any other exception is a bug and exits 3.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from .poly import Poly, summands
 from .opalgebra import Operation, normal_form
 from .opmodules import (ModulePresentation, standard_module, omega_power,
                         tensor, act, check_well_defined)
-from .amplified import AmplifiedRing
+from .amplified import AmplifiedRing, WindowOverflowError
 from .normlog import NormContext
 from .padic import DEFAULT_PREC2, DEFAULT_PRECA
 from .tower import parse_tower_expr
-from .koszul import acyclicity_check, tor_gamma_mod_I
+from .koszul import acyclicity_check, tor_gamma_mod_I, _require_well_defined
 from .curve import (DEFAULT_ORDER, isogeny_series, derive_commutation,
                     derive_adem_and_psi, q_series_mismatch_report,
                     format_word_combo)
@@ -48,20 +50,22 @@ def _emit_json(obj) -> None:
 
 # --- input payload parsing --------------------------------------------------
 
-def _operation(text: str) -> Operation:
+def _read(fn, arg, prefix="", errors=ValueError):
+    """fn(arg), where raising one of errors means the input is malformed."""
     try:
-        return normal_form(text)
-    except ValueError as exc:
-        raise UsageError("cannot parse operation expression %r: %s"
-                         % (text, exc))
+        return fn(arg)
+    except errors as exc:
+        raise UsageError("%s%s" % (prefix, exc))
+
+
+def _operation(text: str) -> Operation:
+    return _read(normal_form, text,
+                 "cannot parse operation expression %r: " % text)
 
 
 def _base_ring_elem(text: str) -> Poly:
     """Parse an expression that must lie in the base ring Z[a]."""
-    try:
-        elem = parse_tower_expr(text)
-    except ValueError as exc:
-        raise UsageError("cannot parse %r: %s" % (text, exc))
+    elem = _read(parse_tower_expr, text, "cannot parse %r: " % text)
     const = elem.c[0].c[0]
     if not const.is_in_R():
         raise UsageError("%r does not lie in Z[a]: denominators remain" % text)
@@ -76,10 +80,7 @@ def _module_spec(text: str) -> ModulePresentation:
     The name is read by the one grammar (`poly.summands`): a single
     summand whose factors alternate between a module atom and `x`.
     """
-    try:
-        terms = summands(text)
-    except ValueError as exc:
-        raise UsageError("bad module name %r: %s" % (text, exc))
+    terms = _read(summands, text, "bad module name %r: " % text)
     factors = terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else []
     if len(factors) % 2 == 0 or any(f != ("x", 1) for f in factors[1::2]):
         raise UsageError("bad module name %r (join modules with x, as in "
@@ -100,19 +101,15 @@ def _module_spec(text: str) -> ModulePresentation:
 def _module_json_or_name(text: str) -> ModulePresentation:
     stripped = text.strip()
     if stripped.startswith("{"):
-        try:
-            return ModulePresentation.from_json(json.loads(stripped))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError("bad module JSON: %s" % exc)
+        return _read(lambda t: ModulePresentation.from_json(json.loads(t)),
+                     stripped, "bad module JSON: ",
+                     (ValueError, KeyError, TypeError))
     return _module_spec(stripped)
 
 
 def _vector(m: ModulePresentation, text: str):
-    try:
-        data = json.loads(text)
-        vec = tuple(Poly.from_json(c) for c in data)
-    except (ValueError, TypeError) as exc:
-        raise UsageError("bad vector payload %r: %s" % (text, exc))
+    vec = _read(lambda t: tuple(Poly.from_json(c) for c in json.loads(t)),
+                text, "bad vector payload %r: " % text, (ValueError, TypeError))
     if len(vec) != m.rank:
         raise UsageError("vector has %d components; module has rank %d"
                          % (len(vec), m.rank))
@@ -198,7 +195,9 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_theta(args) -> int:
     ring = AmplifiedRing(theta_depth=3, word_depth=4)
-    value = ring.theta(ring.parse(args.expr))  # a ValueError exits 2
+    # "t^3 x" parses, but its theta leaves the window
+    value = _read(ring.theta, _read(ring.parse, args.expr),
+                  errors=WindowOverflowError)
     if args.json:
         _emit_json({"input": args.expr, "theta": str(value)})
     else:
@@ -216,8 +215,16 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_ell(args) -> int:
+    x = _base_ring_elem(args.expr)
+    # N x = (Q0 x)^3 = x^6 mod (2, a), so N x is a unit exactly when x is
+    if x.constant_term() % 2 == 0:
+        raise UsageError("N x has even constant term; x is not a unit")
+    if args.prec2 < 1 or args.precA < 0:
+        raise UsageError("precision out of range")
+    if args.precA == 0:  # modulo a^0 the ring is 0, which has no unit
+        raise UsageError("not a unit: even constant coefficient")
     ctx = NormContext("Shat", prec2=args.prec2, precA=args.precA)
-    value = ctx.log_ell(_base_ring_elem(args.expr))  # a ValueError exits 2
+    value = ctx.log_ell(x)
     if args.json:
         _emit_json({"input": args.expr, "ell": str(value),
                     "prec2": args.prec2, "precA": args.precA})
@@ -227,6 +234,8 @@ def _cmd_ell(args) -> int:
 
 
 def _cmd_tor(args) -> int:
+    if args.k < 0:
+        raise UsageError("k must be nonnegative")
     label = _LABELS[args.field]
     slices = tor_gamma_mod_I(args.k)[label]
     if args.json:
@@ -246,6 +255,9 @@ def _cmd_acyclic(args) -> int:
     if args.kmax > _KMAX_LIMIT:
         raise UsageError("--kmax must be at most %d" % _KMAX_LIMIT)
     mod = _module_json_or_name(args.module)
+    if args.kmax < 0:
+        raise UsageError("k_max must be nonnegative")
+    _read(_require_well_defined, mod)
     report = acyclicity_check(mod, args.kmax, args.field)
     if args.json:
         _emit_json(report)
@@ -292,12 +304,9 @@ def _cmd_derive(args) -> int:
     for k in (1, 2):
         lhs = "Q%d Q0" % k
         relation[lhs] = format_word_combo(adem["rows"][k])
-    commutation = []
-    for i in range(3):
-        rhs = Operation()
-        for j in range(3):
-            rhs = rhs + comm["matrix"][i][j] * Operation.q(j)
-        commutation.append("Q%d a = %s" % (i, rhs))
+    commutation = ["Q%d a = %s" % (i, normal_form((c, [j])
+                                                  for j, c in enumerate(row)))
+                   for i, row in enumerate(comm["matrix"])]
     ok = comm["ok"] and adem["ok"] and qrep["only_known_mismatch"]
     if args.json:
         _emit_json({"commutation": commutation,
@@ -323,11 +332,11 @@ def _cmd_derive(args) -> int:
 def _cmd_verify_all(args) -> int:
     if args.json:
         results = [{"name": name, "ok": ok, "detail": detail}
-                   for name, ok, detail, _ in run_checks()]
+                   for name, ok, detail in run_checks()]
         all_ok = all(r["ok"] for r in results)
         _emit_json({"checks": results, "ok": all_ok})
         return 0 if all_ok else 1
-    return 0 if run_all(sys.stdout, timings=False) else 1
+    return 0 if run_all() else 1
 
 
 # --- parser -----------------------------------------------------------------
@@ -444,9 +453,6 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -36,7 +36,7 @@ from operator import add
 from .poly import Poly, ZERO, ONE, A, format_terms
 from .series import Series
 from .tower import SFrac, S2Elem, S22Elem, TARGET_A
-from .opalgebra import CARTAN, Operation, push_through, psi
+from .opalgebra import CARTAN, Operation, normal_form, push_through, psi
 from .normlog import q_triple_R
 
 __all__ = ["ChartPoint", "OrderTwoDatum", "IsogenyData", "ORDER_TWO",
@@ -307,28 +307,10 @@ def derive_commutation() -> dict:
             raise ValueError(
                 "curve-derived rule for Q%d a disagrees with the stored one"
                 % i)
-        op = Operation.q(i) * A
-        for j in range(3):
-            op = op - rows[i][j] * Operation.q(j)
-        residuals.append(op)
+        residuals.append(Operation.q(i) * A - normal_form(
+            (c, [j]) for j, c in enumerate(rows[i])))
     return {"matrix": rows, "residuals": residuals,
             "ok": all(r.is_zero() for r in residuals)}
-
-
-def _word_operation(word) -> Operation:
-    out = Operation.unit()
-    for i in word:
-        out = out * Operation.q(i)
-    return out
-
-
-def _combo_operation(terms: dict) -> Operation:
-    out = Operation()
-    for word, c in terms.items():
-        straightened = _word_operation(word)
-        out = out + Operation({m: c * v
-                               for m, v in straightened.terms.items()})
-    return out
 
 
 def format_word_combo(terms: dict) -> str:
@@ -362,10 +344,10 @@ def derive_adem_and_psi() -> dict:
                 word = (i, j)
                 cur = rows[k].get(word, ZERO)
                 rows[k][word] = cur + _require_polynomial(frac)
-    psi_derived = _combo_operation(rows[0])
+    psi_derived, *residuals = [
+        normal_form((c, word) for word, c in row.items()) for row in rows]
     if psi_derived != psi():
         raise ValueError("curve-derived Psi disagrees with the stored Psi")
-    residuals = [_combo_operation(rows[1]), _combo_operation(rows[2])]
     for k, resid in enumerate(residuals):
         if not resid.is_zero():
             raise ValueError(

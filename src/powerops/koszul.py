@@ -63,10 +63,6 @@ def _require_well_defined(module: ModulePresentation):
                          "(basis %s, rule %s)" % (first["basis"], first["rule"]))
 
 
-def _qkey(i: int):
-    return (1, ()) if i == 0 else (0, (i,))
-
-
 def _mono(key) -> Operation:
     return Operation({key: ONE})
 
@@ -171,7 +167,7 @@ class TruncatedComplex:
             gamma = _mono(key)
             out = [ZERO] * n1
             for c_rel, i, j in RELATIONS[s]:
-                left = gamma * Operation({_qkey(i): c_rel})
+                left = gamma * (c_rel * Operation.q(i))
                 self._add_op(out, left, (j, l), self._p1_index)
                 w = self.module.column(j, l)
                 for t, p in enumerate(w):
@@ -215,9 +211,16 @@ def _fmt_pair(ring, pair):
     return {"free": free, "divisors": [ring.format(d) for d in divs]}
 
 
+def _require_complex(d1: Matrix, d2: Matrix):
+    """Raise unless d1 d2 = 0 exactly: such maps are a bug, not an input."""
+    if not _composes_to_zero(d1, d2):
+        raise ArithmeticError("the differentials do not compose to zero")
+
+
 def _homology_triple(ring, d1: Matrix, d2: Matrix):
     """Homology (h0, h1, h2) of 0 -> P2 --d2--> P1 --d1--> P0 -> 0 after
-    base change of the Z[a] matrices d1 and d2 to ring.
+    base change of the Z[a] matrices d1 and d2 to ring.  The caller has
+    checked that d1 d2 = 0 (`_require_complex`).
 
     When both maps clear by unit-pivot elimination over Z[a], each is
     unimodularly equivalent to diag(1, ..., 1, 0), so im d2 is a direct
@@ -225,8 +228,6 @@ def _homology_triple(ring, d1: Matrix, d2: Matrix):
     ranks the elimination reads off, over every ring.  Otherwise the
     Smith forms over ring decide.
     """
-    if not _composes_to_zero(d1, d2):
-        raise ValueError("maps do not compose to zero")
     r1, done1 = unit_pivot_elimination(d1)
     r2, done2 = unit_pivot_elimination(d2)
     if done1 and done2:
@@ -244,6 +245,8 @@ def acyclicity_check(module: ModulePresentation, k_max: int,
     """
     ring = ring_by_name(field)
     cx = build_complex(module, k_max)
+    # every cap is a leading block, so one check covers them all
+    _require_complex(cx.d1, cx.d2)
     g = module.rank
     caps_report = {}
     ok = True
@@ -265,6 +268,7 @@ def truncation_stability_check(module: ModulePresentation, caps,
     """Positions 1 and 2 must agree across the given degree caps."""
     ring = ring_by_name(field)
     cx = build_complex(module, max(caps))
+    _require_complex(cx.d1, cx.d2)
     seen = []
     for cap in caps:
         _, d1, d2 = cx.caps(cap)
@@ -298,9 +302,7 @@ def tor_reduced(module: ModulePresentation) -> dict:
     every matrix entry is constant (otherwise the Z slice is None).
     """
     d1, d2 = reduced_matrices(module)
-    if not _composes_to_zero(d1, d2):
-        raise ArithmeticError("the reduced differentials do not compose "
-                              "to zero")
+    _require_complex(d1, d2)
     report = {"module_rank": module.rank,
               "d1": [[str(e) for e in row] for row in d1.rows],
               "d2": [[str(e) for e in row] for row in d2.rows], "Z": None}

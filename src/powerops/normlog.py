@@ -23,16 +23,13 @@ from .poly import Poly, A, ONE, ZERO, DISC
 from .tower import SFrac, S2Elem, TARGET_A
 from .padic import (PadicElem, PrecisionError, log_half, DEFAULT_PREC2,
                     DEFAULT_PRECA)
-from .opalgebra import Operation, psi, push_through
-from .opmodules import standard_module, act
+from .opalgebra import push_poly
 from .mpoly import MPoly
 
 __all__ = ["TRACE", "NORM", "NormContext", "norm_multiplicativity_check",
            "linearization_check", "norm_congruence_check",
            "q_triple_R", "q_triple_S", "q_triple_padic", "p_map",
            "multiplication_matrix_symbolic", "trace_norm_symbolic_check"]
-
-_STD = standard_module()
 
 # --- T and N as data --------------------------------------------------------
 
@@ -51,9 +48,12 @@ TRACE, NORM = _trace_and_norm()
 # --- the Q-action on each host ----------------------------------------------
 
 def q_triple_R(x) -> tuple:
-    """(Q0 x, Q1 x, Q2 x) for x in Z[a], through the rank-1 standard action."""
-    x = Poly(x)
-    return tuple(act(_STD, Operation.q(i), (x,))[0] for i in range(3))
+    """(Q0 x, Q1 x, Q2 x) for x in Z[a].
+
+    Q_i x is Q_i * x(a) applied to 1; since Q0 fixes 1 and Q1, Q2 kill it,
+    that is the Q0 coefficient of `push_poly`.
+    """
+    return tuple(push_poly(i, x)[0] for i in range(3))
 
 
 # x -> Q0 x + Q1 x d + Q2 x d^2 sends a to a' (`TARGET_A`); this is a ring
@@ -97,16 +97,8 @@ def q_triple_padic(x: PadicElem) -> tuple:
         raise PrecisionError(
             "a-precision %d cannot support the action at 2-precision %d "
             "(needs > %d)" % (m_in, n, 3 * n + 2))
-    out = []
-    for i in range(3):
-        total = [0] * m_out
-        for j, c in enumerate(x.res):
-            if c:
-                f0 = push_through(i, j)[0]
-                for k in range(min(m_out, f0.degree() + 1)):
-                    total[k] += c * f0[k]
-        out.append(PadicElem(total, n, m_out))
-    return tuple(out)
+    return tuple(PadicElem(q.coeffs, n, m_out)
+                 for q in q_triple_R(Poly(x.res)))
 
 
 # --- hosts ------------------------------------------------------------------
@@ -157,9 +149,6 @@ class NormContext:
     def psi_value(self, x):
         """Psi x = Q0Q0 x + a Q0Q1 x - 2 Q1Q1 x + a^2 Q0Q2 x - 2a Q1Q2 x
         + 4 Q2Q2 x, computed by composing the host's Q-action."""
-        x = self.coerce(x)
-        if isinstance(x, Poly):
-            return act(_STD, psi(), (x,))[0]
         q = self.q_triple(x)
         qq = [self.q_triple(v) for v in q]
         a = self._a(qq[0][0])

@@ -48,10 +48,6 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def const(n: int) -> "Poly":
-        return Poly(n)
-
-    @staticmethod
     def a_power(k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative exponent")

@@ -18,9 +18,9 @@ __all__ = ["Series"]
 
 
 class Series:
-    __slots__ = ("coeffs", "order", "zero", "var")
+    __slots__ = ("coeffs", "order", "zero")
 
-    def __init__(self, coeffs, order: int, zero, var: str = "u"):
+    def __init__(self, coeffs, order: int, zero):
         if order < 0:
             order = 0
         coeffs = list(coeffs)[:order]
@@ -29,16 +29,15 @@ class Series:
         self.coeffs = tuple(coeffs)
         self.order = order
         self.zero = zero
-        self.var = var
 
     @staticmethod
-    def from_terms(terms, order, zero, var="u"):
+    def from_terms(terms, order, zero):
         """Build from {exponent: coeff}."""
         coeffs = [zero] * order
         for k, c in terms.items():
             if 0 <= k < order:
                 coeffs[k] = coeffs[k] + c
-        return Series(coeffs, order, zero, var)
+        return Series(coeffs, order, zero)
 
     def __getitem__(self, k: int):
         if k >= self.order:
@@ -54,19 +53,17 @@ class Series:
         return self.order
 
     def truncate(self, order: int) -> "Series":
-        return Series(self.coeffs[:order], min(order, self.order), self.zero,
-                      self.var)
+        return Series(self.coeffs[:order], min(order, self.order), self.zero)
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order, self.zero,
-                      self.var)
+        return Series([-c for c in self.coeffs], self.order, self.zero)
 
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
         return Series([self.coeffs[k] + other.coeffs[k] for k in range(order)],
-                      order, self.zero, self.var)
+                      order, self.zero)
 
     def __sub__(self, other):
         return self + (-other)
@@ -77,24 +74,23 @@ class Series:
         order = min(self.order + other.valuation(),
                     other.order + self.valuation())
         return Series(_dense_mul(self.coeffs, other.coeffs, order, self.zero),
-                      order, self.zero, self.var)
+                      order, self.zero)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Series":
-        return Series([x * c for x in self.coeffs], self.order, self.zero,
-                      self.var)
+        return Series([x * c for x in self.coeffs], self.order, self.zero)
 
     def shift(self, k: int) -> "Series":
         """Multiply by u^k (k may be negative if the valuation allows)."""
         if k >= 0:
             return Series((self.zero,) * k + self.coeffs, self.order + k,
-                          self.zero, self.var)
+                          self.zero)
         if any(c != self.zero for c in self.coeffs[:-k]):
-            raise ValueError("valuation below %d; cannot divide by %s^%d"
-                             % (-k, self.var, -k))
-        return Series(self.coeffs[-k:], self.order + k, self.zero, self.var)
+            raise ValueError("valuation below %d; cannot divide by u^%d"
+                             % (-k, -k))
+        return Series(self.coeffs[-k:], self.order + k, self.zero)
 
     def inverse(self) -> "Series":
         """Reciprocal; the constant coefficient must have .inv()."""
@@ -102,7 +98,7 @@ class Series:
             return self
         out = _series_reciprocal(self.coeffs, self.order,
                                 self.coeffs[0].inv(), self.zero)
-        return Series(out, self.order, self.zero, self.var)
+        return Series(out, self.order, self.zero)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -126,15 +122,15 @@ class Series:
                 and self.coeffs == other.coeffs)
 
     def to_json(self):
-        return {"var": self.var, "order": self.order,
+        return {"var": "u", "order": self.order,
                 "coeffs": [c.to_json() for c in self.coeffs]}
 
     def __str__(self):
         parts = []
         for k, c in enumerate(self.coeffs):
             if c != self.zero:
-                parts.append("(%s)*%s^%d" % (c, self.var, k))
+                parts.append("(%s)*u^%d" % (c, k))
         body = " + ".join(parts) if parts else "0"
-        return "%s + O(%s^%d)" % (body, self.var, self.order)
+        return "%s + O(u^%d)" % (body, self.order)
 
     __repr__ = __str__

@@ -196,6 +196,16 @@ class TestInputSyntax:
         (["theta", "x^-2"], 2, None),
         (["theta", "a^-1 x"], 2, None),
         (["theta", "Q[1] t x"], 2, None),
+        # input errors found past the parser: theta t^3 x needs t^4 x,
+        # and precisions or degree caps out of range
+        (["theta", "t^3 x"], 2, None),
+        (["ell", "1 + 2 a", "--prec2", "0"], 2, None),
+        (["ell", "1 + 2 a", "--precA", "0"], 2, None),
+        (["ell", "1 + 2 a", "--precA", "-1"], 2, None),
+        (["koszul", "acyclic", "--module", "omega", "--kmax", "-1"], 2, None),
+        (["koszul", "acyclic", "--module",
+          '{"rank": 1, "Q0": [["1"]], "Q1": [["1"]], "Q2": [["0"]]}'], 2,
+         None),
     ]
 
     @pytest.mark.parametrize("argv, code, same_as", CASES,
@@ -207,6 +217,21 @@ class TestInputSyntax:
             assert out == "" and err.startswith("error: ")
         if same_as is not None:
             assert out == run_cli(capsys, *same_as)[1] != ""
+
+
+class TestInternalErrors:
+    # exit 2 is for malformed input only: an exception that escapes a
+    # handler is a bug, whatever its type
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_escaped_exception_exits_3(self, capsys, monkeypatch, error):
+        import powerops.cli as cli
+
+        def broken(order):
+            raise error("broken")
+        monkeypatch.setattr(cli, "isogeny_series", broken)
+        code, out, err = run_cli(capsys, "isogeny", "--order", "4")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: %s: " % error.__name__)
 
 
 class TestKoszulCommands:

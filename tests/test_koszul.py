@@ -15,7 +15,7 @@ from sympy import GF, QQ, Matrix as SMatrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
-from powerops.poly import Poly, ZERO, A
+from powerops.poly import Poly, A
 from powerops.opalgebra import Operation, basis_of_degree
 from powerops import koszul
 from powerops.linalg import (Matrix, ring_by_name, homology,
@@ -303,16 +303,24 @@ class TestCertificate:
         assert calls == ["Z", "Q[a]", "F2[a]"]
         assert as_pairs(rep["Z"]) == [(0, []), (0, [2]), (0, [])]
 
-    def test_non_composing_pair_raises(self):
-        # both maps clear on unit pivots, so only the d1 d2 = 0 check
-        # stands between them and a wrong certificate (h1 = 0)
-        d1 = Matrix(1, 2, [[Poly(1), ZERO]])
-        d2 = Matrix(2, 1, [[Poly(1)], [ZERO]])
-        assert unit_pivot_elimination(d1) == (1, True)
-        assert unit_pivot_elimination(d2) == (1, True)
-        for field in ("q", "f2", "z"):
-            with pytest.raises(ValueError, match="do not compose to zero"):
-                koszul._homology_triple(ring_by_name(field), d1, d2)
+    def test_non_composing_pair_raises(self, monkeypatch):
+        # as in TestReducedComplex: a 1 in row 1 of d2 makes d1 d2 != 0 on
+        # omega.  Both maps still clear on unit pivots, so only the one
+        # d1 d2 = 0 check of the full complex stands between them and a
+        # wrong certificate (h1 = 0)
+        real = koszul.build_complex
+
+        def broken(module, k_max):
+            cx = real(module, k_max)
+            cx.d2.rows[1][0] = Poly(1)
+            return cx
+        monkeypatch.setattr(koszul, "build_complex", broken)
+        for field in ("q", "f2"):
+            with pytest.raises(ArithmeticError,
+                               match="do not compose to zero"):
+                acyclicity_check(omega(), 3, field)
+        with pytest.raises(ArithmeticError, match="do not compose to zero"):
+            truncation_stability_check(omega(), (2, 3))
 
 
 class TestIdentification:

@@ -219,6 +219,18 @@ class TestActionOnLocalizedHost:
         assert p_map(SFrac(1, 1)) * p_map(SFrac(DISC)) == S2Elem(1)
         assert S.norm_N(SFrac(1, 1)) == SFrac(-1, 3)
 
+    def test_q_triple_R_matches_standard_action(self):
+        # the Q0 coefficient of push_poly against the rank-1 module action
+        std = standard_module()
+        rng = random.Random(31)
+        samples = [ONE, A, DISC] + [Poly([rng.randint(-5, 5)
+                                          for _ in range(5)])
+                                    for _ in range(15)]
+        for x in samples:
+            assert q_triple_R(x) == tuple(act(std, Operation.q(i), (x,))[0]
+                                          for i in range(3))
+            assert R.psi_value(x) == act(std, psi(), (x,))[0]
+
     def test_psi_value_consistency(self):
         for x in (A, DISC, A * A - 3):
             assert SFrac(R.psi_value(x)) == S.psi_value(SFrac(x))

@@ -124,7 +124,8 @@ class TestActionAxioms:
 
     def test_products_act_as_composites(self):
         rng = random.Random(424242)
-        mods = [two_sphere(), omega_power(2), tensor(omega(), two_sphere())]
+        mods = [two_sphere(), omega_power(2), tensor(omega(), two_sphere()),
+                standard_module(), omega()]
         for m in mods:
             for _ in range(8):
                 g = rand_operation(rng, max_deg=2)
