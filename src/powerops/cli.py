@@ -219,10 +219,8 @@ def _cmd_ell(args) -> int:
     # N x = (Q0 x)^3 = x^6 mod (2, a), so N x is a unit exactly when x is
     if x.constant_term() % 2 == 0:
         raise UsageError("N x has even constant term; x is not a unit")
-    if args.prec2 < 1 or args.precA < 0:
+    if args.prec2 < 1 or args.precA < 1:
         raise UsageError("precision out of range")
-    if args.precA == 0:  # modulo a^0 the ring is 0, which has no unit
-        raise UsageError("not a unit: even constant coefficient")
     ctx = NormContext("Shat", prec2=args.prec2, precA=args.precA)
     value = ctx.log_ell(x)
     if args.json:

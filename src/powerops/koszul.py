@@ -19,6 +19,11 @@ coefficients).  Truncating by word degree gives finite free complexes whose
 blocks are matrices over Z[a]; homology is read off after base change to a
 principal ideal domain (Q[a], F2[a], or Z when a block is constant).
 
+Each column of d1 and d2 is listed as a sum of products of a monomial, a
+coefficient and letters, which the straightening engine accumulates on its
+packed Z[a] (`opalgebra._straighten_sums`) and unpacks once per nonzero
+entry; the matrices themselves are dense `Matrix` objects of `Poly`.
+
 Homology is certified over Z[a] itself where it can be: once d1 d2 = 0 is
 checked exactly, a sparse elimination on constant +-1 pivots
 (`linalg.unit_pivot_elimination`) that clears both maps proves every
@@ -37,7 +42,8 @@ leading g x 3g block of d1 and 3g x 2g block of d2, g the rank of M.
 from __future__ import annotations
 
 from .poly import ZERO, ONE, A
-from .opalgebra import Operation, RELATIONS, basis_of_degree, push_poly
+from .opalgebra import (Operation, RELATIONS, basis_of_degree, push_poly,
+                        _straighten_sums)
 from .opmodules import (ModulePresentation, omega_power, act,
                         check_well_defined)
 from .linalg import (Matrix, ZZ, QA, F2A, ring_by_name, smith_normal_form,
@@ -70,6 +76,16 @@ def _mono(key) -> Operation:
 def _columns(m: int, cols) -> Matrix:
     """The m-row matrix with the given columns."""
     return Matrix(m, len(cols), [[col[r] for col in cols] for r in range(m)])
+
+
+def _matrix(index, cols) -> Matrix:
+    """The matrix whose columns are given as {basis element: entry} dicts,
+    rows numbered by `index`; every other entry is ZERO."""
+    rows = [[ZERO] * len(cols) for _ in range(len(index))]
+    for n, col in enumerate(cols):
+        for b, e in col.items():
+            rows[index[b]][n] = e
+    return Matrix(len(index), len(cols), rows)
 
 
 def _block(mat: Matrix, m: int, n: int) -> Matrix:
@@ -137,48 +153,35 @@ class TruncatedComplex:
                              self.module.basis_vector(l))
                          for key, l in self.p0_basis])
 
-    def _add_op(self, out, op: Operation, tail, index):
-        """Accumulate coefficient * (monomial, *tail) for each term of op."""
-        for key, coeff in op.terms.items():
-            idx = index[(key,) + tail]
-            out[idx] = out[idx] + coeff
+    def _d1_column(self, key, i, l):
+        """Column (key, i, l) of d1 as (mono, p, letters, tail) items:
+        g (.) Q_i m - g Q_i (.) m."""
+        items = [(key, -ONE, (i,), (l,))]
+        for t, p in enumerate(self.module.column(i, l)):
+            if p:
+                items.append((key, p, (), (t,)))
+        return items
+
+    def _d2_column(self, key, s, l):
+        """Column (key, s, l) of d2 as (mono, p, letters, tail) items, from
+        relation s."""
+        items = []
+        for c_rel, i, j in RELATIONS[s]:
+            items.append((key, c_rel, (i,), (j, l)))
+            for t, p in enumerate(self.module.column(j, l)):
+                if p:
+                    for gi, c in enumerate(push_poly(i, p)):
+                        if c:
+                            items.append((key, c_rel * c, (), (gi, t)))
+        return items
 
     def _build_d1(self) -> Matrix:
-        n0 = len(self.p0_basis)
-        cols = []
-        for key, i, l in self.p1_basis:
-            gamma = _mono(key)
-            out = [ZERO] * n0
-            w = self.module.column(i, l)
-            for t, p in enumerate(w):
-                if not p.is_zero():
-                    self._add_op(out, gamma * p, (t,), self._p0_index)
-            minus = gamma * Operation.q(i)
-            for mkey, coeff in minus.terms.items():
-                idx = self._p0_index[(mkey, l)]
-                out[idx] = out[idx] - coeff
-            cols.append(out)
-        return _columns(n0, cols)
+        return _matrix(self._p0_index, _straighten_sums(
+            [self._d1_column(*b) for b in self.p1_basis]))
 
     def _build_d2(self) -> Matrix:
-        n1 = len(self.p1_basis)
-        cols = []
-        for key, s, l in self.p2_basis:
-            gamma = _mono(key)
-            out = [ZERO] * n1
-            for c_rel, i, j in RELATIONS[s]:
-                left = gamma * (c_rel * Operation.q(i))
-                self._add_op(out, left, (j, l), self._p1_index)
-                w = self.module.column(j, l)
-                for t, p in enumerate(w):
-                    if p.is_zero():
-                        continue
-                    for gi, c in enumerate(push_poly(i, p)):
-                        if not c.is_zero():
-                            self._add_op(out, gamma * (c_rel * c), (gi, t),
-                                         self._p1_index)
-            cols.append(out)
-        return _columns(n1, cols)
+        return _matrix(self._p1_index, _straighten_sums(
+            [self._d2_column(*b) for b in self.p2_basis]))
 
     # -- access -------------------------------------------------------------
 

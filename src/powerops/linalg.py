@@ -75,7 +75,7 @@ class IntRing:
         return int(x)
 
     def is_zero(self, x):
-        return x == 0
+        return not x
 
     def is_one(self, x):
         return x == 1

@@ -19,9 +19,14 @@ Every element is an R-linear combination of admissible monomials
 Q0^j Qk1 ... Qkr with each ki in {1, 2}; the degree-k piece is free of rank
 2^(k+1) - 1.  `Operation` stores the admissible form as {(j, word): Poly}.
 
+Products are straightened on Z[a] packed into ints (a coefficient p is
+held as p(2^W); see "the packed straightening engine" below), and
+`Operation` itself stores `Poly`.
+
 Reduction is confluent; `check_confluence` certifies this empirically by
 reducing every small word under several independent strategies (and against
-a naive one-step rewriter that shares no code with the fast engine).
+a naive one-step rewriter that shares no code with the fast engine and
+stays on unpacked ints).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .poly import Poly, A, ONE, ZERO, format_terms, summands
+from .poly import Poly, A, ONE, ZERO, format_terms, summands, _trusted
 
 __all__ = ["Operation", "normal_form", "psi", "COMMUTATION", "RELATIONS",
            "CARTAN", "basis_of_degree",
@@ -79,78 +84,224 @@ def psi() -> Operation:
                       (0, (2, 2)): Poly(4)})
 
 
-# --- raw admissible-form arithmetic ----------------------------------------
+# --- the packed straightening engine -----------------------------------------
 #
-# Terms are dicts {(j, word): Poly}; the helpers below never mutate their
+# Straightening computes on Z[a] packed into Python ints: p is held as
+# p(2^W), so that a sum or product of coefficients is one int operation
+# (Fateman, "Can you save time in multiplying polynomials by encoding them
+# as integers?", 2004/2010; Harvey, J. Symbolic Comput. 44, 2009).  Since
+# a -> 2^W is a ring map, packed sums and products are exact at any W; only
+# unpacking needs every coefficient inside the balanced slot
+# [-2^(W-1), 2^(W-1)).  So every packed element travels with a bound on
+# the L1 norm of all its coefficients, and `_straighten` unpacks a result
+# only when its bound fits; otherwise it computes again at a wider W.
+# Terms are dicts {(j, word): int}; the helpers never mutate their
 # arguments or cached values.
+#
+# A bound stays sound when `_merge` drops a term that packs to 0 but is
+# not 0: such a p is a multiple of a - 2^W, so one of its coefficients is
+# at least 2^W in size, and so was the bound that covered it.  No later
+# step lowers a bound, so the result is computed again, wider.
+#
+# Each `_straighten` call starts at `_START_WIDTH`.  The table of images
+# `_mono_times` reads is kept per width: the one at the start width, and at
+# most one wider one for the calls that need it, so that one wide result
+# does not slow every later product.
+
+_START_WIDTH = 64
+_tables = {}
+
+
+def _use_width(width: int):
+    """Pack at slot width `width`, with that width's table of images."""
+    global _width, _table
+    _width, _table = width, _tables.setdefault(width, {})
+
+
+_use_width(_START_WIDTH)
+
+
+def _wider(bound: int) -> int:
+    """The width to compute again at when `bound` does not fit: that of the
+    kept wider table if it fits, else a new one that replaces it."""
+    need = bound.bit_length() + 1
+    fits = [w for w in _tables if w >= need]
+    if fits:
+        return min(fits)
+    for w in [w for w in _tables if w != _START_WIDTH]:
+        del _tables[w]
+    return max(_width + _width // 2, need)
+
 
 def _merge(target, source, factor=None):
+    """target += factor * source, for terms with int or Poly values."""
     for mono, c in source.items():
         if factor is not None:
             c = c * factor
         cur = target.get(mono)
         new = c if cur is None else cur + c
-        if new.is_zero():
+        if not new:
             target.pop(mono, None)
         else:
             target[mono] = new
     return target
 
 
-def _times(terms, x):
-    """terms * x for a letter x: "a", or Q0, Q1, Q2 written 0, 1, 2."""
-    if x == 1 or x == 2:
-        return {(j, word + (x,)): c for (j, word), c in terms.items()}
-    out = {}
-    for (j, word), c in terms.items():
-        _merge(out, _mono_times(j, word, x), c)
+def _pack(p: Poly) -> int:
+    """p(2^W)."""
+    n = 0
+    for c in reversed(p.coeffs):
+        n = (n << _width) + c
+    return n
+
+
+def _unpack(n: int) -> Poly:
+    """The Poly p with p(2^W) = n, all of whose coefficients fit a slot."""
+    w = _width
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    if -half <= n < half:
+        return _trusted((n,) if n else ())
+    out = []
+    while n:
+        r = n & mask
+        n >>= w
+        if r >= half:
+            r -= mask + 1
+            n += 1
+        out.append(r)
+    return _trusted(tuple(out))
+
+
+def _norm(polys) -> int:
+    """The L1 norm of all the coefficients of the given polynomials."""
+    return sum(abs(c) for p in polys for c in p.coeffs)
+
+
+def _straighten(compute, arglist):
+    """[compute(*args) unpacked, for each args in arglist], where compute
+    returns (packed terms, L1 bound).
+
+    The width starts at `_START_WIDTH` and widens whenever a bound does not
+    fit; a widened width serves the rest of the list, and the width in force
+    before the call is restored after it.
+    """
+    prev, out = _width, []
+    _use_width(_START_WIDTH)
+    try:
+        for args in arglist:
+            terms, bound = compute(*args)
+            while bound.bit_length() >= _width:
+                _use_width(_wider(bound))
+                terms, bound = compute(*args)
+            out.append({key: _unpack(c) for key, c in terms.items() if c})
+    finally:
+        _use_width(prev)
     return out
 
 
-@lru_cache(maxsize=None)
+def _straighten_sums(sums):
+    """For each list of (mono, p, letters, tail) items, the sum of
+    mono * p * letters with each monomial m of it placed at (m, *tail), as
+    {(m, *tail): Poly}.  One call straightens the whole list, so a width
+    it widens to serves the lists after."""
+    return _straighten(_placed_sum, [(items,) for items in sums])
+
+
+def _placed_sum(items):
+    """The packed sum of `_straighten_sums`, with its L1 bound."""
+    out, total = {}, 0
+    for mono, p, letters, tail in items:
+        terms, bound = _times_word(*_times_poly({mono: 1}, 1, p.coeffs),
+                                   letters)
+        for key, c in terms.items():
+            key = (key,) + tail
+            out[key] = out.get(key, 0) + c
+        total += bound
+    return out, total
+
+
+def _times(terms, bound, x):
+    """terms * x for a letter x ("a", or Q0, Q1, Q2 written 0, 1, 2), with
+    the L1 bound of the product from the bound of terms."""
+    if x == 1 or x == 2:
+        return {(j, word + (x,)): c for (j, word), c in terms.items()}, bound
+    # peak starts at 1, so that a bound carried by terms `_merge` dropped
+    # survives even when nothing is left
+    out, peak, table = {}, 1, _table
+    for (j, word), c in terms.items():
+        image, norm = table.get((j, word, x)) or _mono_times(j, word, x)
+        _merge(out, image, c)
+        if norm > peak:
+            peak = norm
+    return out, bound * peak
+
+
 def _mono_times(j: int, word: tuple, x):
-    """(Q0^j Q_word) * x in admissible form, for x = "a" or x = 0 (Q0).
+    """(Q0^j Q_word) * x packed, and its L1 bound, for x = "a" or x = 0,
+    from the table of the current width."""
+    key = (j, word, x)
+    hit = _table.get(key)
+    if hit is None:
+        hit = _table[key] = _mono_image(j, word, x)
+    return hit
+
+
+def _mono_image(j: int, word: tuple, x):
+    """The table entry of `_mono_times`, computed.
 
     The last letter Q_k meets a through COMMUTATION[k] and meets Q0 through
     RELATIONS[k - 1], whose first term is Q_k Q0 itself.
     """
     if not word and x == 0:
-        return {(j + 1, ()): ONE}
+        return {(j + 1, ()): 1}, 1
     if not word and not j:
-        return {(0, ()): A}
+        return {(0, ()): 1 << _width}, 1
     head, k = ((j, word[:-1]), word[-1]) if word else ((j - 1, ()), 0)
     if x == "a":
         rhs = [(c, (l,)) for l, c in enumerate(COMMUTATION[k]) if c]
     else:
         rhs = [(-c, (i, l)) for c, i, l in RELATIONS[k - 1][1:]]
-    out = {}
+    out, bound = {}, 0
     for c, letters in rhs:
-        t = _times_poly({head: ONE}, c)
-        for letter in letters:
-            t = _times(t, letter)
+        t, b = _times_word(*_times_poly({head: 1}, 1, c.coeffs), letters)
         _merge(out, t)
-    return out
+        bound += b
+    if bound.bit_length() < _width:
+        # the entry unpacks, so its exact norm replaces the bound
+        bound = _norm(map(_unpack, out.values()))
+    return out, bound
 
 
-def _times_poly(terms, p: Poly):
-    out = {}
+def _times_word(terms, bound, letters):
+    """terms times each letter in turn, with L1 bound."""
+    for x in letters:
+        terms, bound = _times(terms, bound, x)
+    return terms, bound
+
+
+def _times_poly(terms, bound, coeffs):
+    """terms * p for p in Z[a] given by its coefficients, with L1 bound."""
+    out, total = {}, 0
     power = terms
-    for k, coeff in enumerate(p.coeffs):
+    for k, coeff in enumerate(coeffs):
         if coeff:
-            _merge(out, power, Poly(coeff))
-        if k + 1 < len(p.coeffs):
-            power = _times(power, "a")
-    return out
+            _merge(out, power, coeff)
+            total += abs(coeff) * bound
+        if k + 1 < len(coeffs):
+            power, bound = _times(power, bound, "a")
+    return out, total
 
 
 def _raw_multiply(x, y):
-    out = {}
+    """x * y for {mono: Poly} terms, packed, with its L1 bound."""
+    packed = {mono: _pack(p) for mono, p in x.items()}
+    bound, out, total = _norm(x.values()), {}, 0
     for (j2, w2), q in y.items():
-        t = _times_poly(x, q)
-        for letter in (0,) * j2 + w2:
-            t = _times(t, letter)
+        t, b = _times_word(*_times_poly(packed, bound, q.coeffs),
+                           (0,) * j2 + w2)
         _merge(out, t)
-    return out
+        total += b
+    return out, total
 
 
 # --- scalar pushing ---------------------------------------------------------
@@ -223,12 +374,13 @@ class Operation:
     @staticmethod
     def from_word(letters) -> "Operation":
         """Product of tokens from {'a', 'Q0', 'Q1', 'Q2'} (or ints 0,1,2)."""
-        cur = {(0, ()): ONE}
+        word = []
         for tok in letters:
             if tok not in ("a", "Q0", "Q1", "Q2", 0, 1, 2):
                 raise ValueError("unknown letter %r" % (tok,))
-            cur = _times(cur, tok if tok == "a" else int(str(tok)[-1]))
-        return Operation(cur)
+            word.append(tok if tok == "a" else int(str(tok)[-1]))
+        return Operation(*_straighten(_times_word,
+                                      [({(0, ()): 1}, 1, word)]))
 
     # -- structure ---------------------------------------------------------
 
@@ -271,10 +423,12 @@ class Operation:
     def __mul__(self, other):
         if isinstance(other, (int, Poly)):
             # right scalar: self * p needs pushing
-            return Operation(_times_poly(self.terms, Poly(other)))
-        if not isinstance(other, Operation):
+            other = {(0, ()): Poly(other)}
+        elif isinstance(other, Operation):
+            other = other.terms
+        else:
             return NotImplemented
-        return Operation(_raw_multiply(self.terms, other.terms))
+        return Operation(*_straighten(_raw_multiply, [(self.terms, other)]))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Poly)):

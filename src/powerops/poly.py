@@ -245,7 +245,16 @@ class Poly:
 
     @staticmethod
     def from_json(data) -> "Poly":
-        return Poly(tuple(int(s) for s in data))
+        """Read `to_json`'s array; each coefficient is an int (not a bool)
+        or a string of decimal digits with an optional leading "-"."""
+        coeffs = []
+        for c in data:
+            if isinstance(c, str) and _INTEGER.fullmatch(c):
+                c = int(c)
+            elif type(c) is not int:
+                raise ValueError("coefficient %r is not an integer" % (c,))
+            coeffs.append(c)
+        return Poly(coeffs)
 
     def __str__(self):
         if not self.coeffs:
@@ -309,6 +318,8 @@ def _series_reciprocal(x, n: int, inv0, zero=0):
 
 
 # --- text: every form is a signed sum of products of atoms ----------------
+
+_INTEGER = re.compile(r"-?[0-9]+")
 
 _LEXEME = re.compile(r"""\s*(?:
       (?P<op>[-+*])

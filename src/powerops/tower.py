@@ -19,7 +19,10 @@ equality is tuple equality.
 
 from __future__ import annotations
 
-from .poly import Poly, A, DISC, power, summands
+from functools import reduce
+from operator import or_
+
+from .poly import Poly, A, DISC, power, summands, _trusted
 
 __all__ = ["SFrac", "S2Elem", "S22Elem", "TARGET_A", "tower_reduce",
            "parse_tower_expr"]
@@ -31,6 +34,18 @@ def _coerce(x):
     if isinstance(x, (int, Poly)):
         return SFrac(x) if x else S_ZERO
     return None
+
+
+def _strip_twos(num: Poly, most=None):
+    """(num / 2^v, v) for v the 2-adic valuation of num != 0, capped at
+    `most`; it is the valuation of the OR of the coefficients."""
+    low = reduce(or_, num.coeffs)
+    v = (low & -low).bit_length() - 1
+    if most is not None and most < v:
+        v = most
+    if v:
+        num = _trusted(tuple(c >> v for c in num.coeffs))
+    return num, v
 
 
 class SFrac:
@@ -52,8 +67,9 @@ class SFrac:
             if not rem.is_zero():
                 break
             num, dpow = quo, dpow - 1
-        while tpow > 0 and num.divisible_by_int(2):
-            num, tpow = num.divide_int_exact(2), tpow - 1
+        if tpow and num:
+            num, v = _strip_twos(num, tpow)
+            tpow -= v
         self.num = num
         self.dpow = dpow
         self.tpow = tpow
@@ -153,9 +169,7 @@ class SFrac:
             raise ZeroDivisionError("division by zero in S[1/2]")
         if self.is_zero():
             return SFrac(0)
-        den, s = other.num, 0
-        while den.divisible_by_int(2):
-            den, s = den.divide_int_exact(2), s + 1
+        den, s = _strip_twos(other.num)
         sign = 1
         if den.leading() < 0:
             den, sign = -den, -1

@@ -177,7 +177,8 @@ class TestScalarOperators:
 
 
 class TestInputSyntax:
-    # (argv, exit code, argv with the same output or None).  Consecutive
+    # (argv, exit code, and for exit 0 argv with the same output, for exit
+    # 2 the whole stderr, or None).  Consecutive
     # signs compose, `*` separates factors, a power is an unsigned integer
     # written directly after its atom, and a generator reads t^j Q[w] x.
     CASES = [
@@ -200,7 +201,8 @@ class TestInputSyntax:
         # and precisions or degree caps out of range
         (["theta", "t^3 x"], 2, None),
         (["ell", "1 + 2 a", "--prec2", "0"], 2, None),
-        (["ell", "1 + 2 a", "--precA", "0"], 2, None),
+        (["ell", "1 + 2 a", "--precA", "0"], 2,
+         "error: precision out of range\n"),
         (["ell", "1 + 2 a", "--precA", "-1"], 2, None),
         (["koszul", "acyclic", "--module", "omega", "--kmax", "-1"], 2, None),
         (["koszul", "acyclic", "--module",
@@ -208,15 +210,16 @@ class TestInputSyntax:
          None),
     ]
 
-    @pytest.mark.parametrize("argv, code, same_as", CASES,
+    @pytest.mark.parametrize("argv, code, expect", CASES,
                              ids=[" ".join(c[0]) for c in CASES])
-    def test_exit_code_and_value(self, capsys, argv, code, same_as):
+    def test_exit_code_and_value(self, capsys, argv, code, expect):
         got, out, err = run_cli(capsys, *argv)
         assert got == code
         if code == 2:
             assert out == "" and err.startswith("error: ")
-        if same_as is not None:
-            assert out == run_cli(capsys, *same_as)[1] != ""
+            assert expect is None or err == expect
+        elif expect is not None:
+            assert out == run_cli(capsys, *expect)[1] != ""
 
 
 class TestInternalErrors:

@@ -82,6 +82,9 @@ CASES = [
     ["nf"],
     ["tor", "--k", "x"],
     ["koszul", "tor", "--k", "1", "--field", "r"],
+    ["act", "Q1", "--vec", "[[1.5]]"],
+    ["act", "Q1", "--vec", "[[true]]"],
+    ["mul", "a - 18446744073709551616", "Q0"],
 ]
 
 

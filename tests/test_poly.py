@@ -71,6 +71,14 @@ def test_json_roundtrip():
     assert p.to_json()[0] == str(10 ** 40)
 
 
+def test_json_reads_only_integers():
+    assert Poly.from_json([3, "-12", "0", 1]) == Poly((3, -12, 0, 1))
+    for bad in (1.5, 2.0, True, False, None, [1], "1.5", " 7", "+3", "1_0",
+                "", "x"):
+        with pytest.raises(ValueError):
+            Poly.from_json([1, bad])
+
+
 def test_str():
     assert str(A ** 2 - 2 * A + 1) == "a^2 - 2*a + 1"
     assert str(ZERO) == "0"

@@ -104,6 +104,28 @@ def test_parse_reads_what_poly_prints(coeffs):
             assert elem.c[k].c[j] == (SFrac(p) if (j, k) == (0, 0) else 0)
 
 
+def _halved_bit_by_bit(num, tpow):
+    """The 2-power normalization as SFrac did it before: one halving at a
+    time while every coefficient is even."""
+    while tpow > 0 and num.divisible_by_int(2):
+        num, tpow = num.divide_int_exact(2), tpow - 1
+    return num, tpow
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6),
+       st.integers(0, 40), st.integers(0, 12), st.integers(0, 2))
+def test_sfrac_two_adic_normalization_matches_halving(coeffs, shift, tpow,
+                                                     dpow):
+    # shifting puts a common power of 2 into every coefficient
+    num = Poly([c << shift for c in coeffs])
+    x = SFrac(num, dpow, tpow)
+    expect_num, expect_tpow = _halved_bit_by_bit(
+        SFrac(num, dpow).num, tpow if num else 0)
+    assert (x.num, x.tpow) == (expect_num, expect_tpow)
+    assert x.dpow == SFrac(num, dpow).dpow
+
+
 def test_sfrac_minimal_form():
     # (a^3 - 27)/D collapses to 1
     x = SFrac(DISC, 1)
