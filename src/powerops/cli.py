@@ -6,9 +6,12 @@ amplified ring, the norm and logarithm, Koszul homology and Tor, the
 isogeny series, the curve-side derivation of the relations, and the full
 verification suite.
 
-Output is deterministic: every printed form uses the fixed canonical
-term ordering, JSON is emitted with sorted keys, and all randomized
-checks run from fixed seeds, so repeated runs are byte-identical.
+Each handler computes its answer and returns (exit code, JSON payload,
+text) without printing; `main` alone prints, the payload under --json and
+the text otherwise.  Output is deterministic: every printed form uses the
+fixed canonical term ordering, JSON is emitted with sorted keys, and all
+randomized checks run from fixed seeds, so repeated runs are
+byte-identical.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 malformed
 input or usage, 3 internal error, 141 stdout closed by its reader.  Input
@@ -35,17 +38,13 @@ from .koszul import acyclicity_check, tor_gamma_mod_I, _require_well_defined
 from .curve import (DEFAULT_ORDER, isogeny_series, derive_commutation,
                     derive_adem_and_psi, q_series_mismatch_report,
                     format_word_combo)
-from .verify import run_checks, run_all
+from .verify import run_checks
 
 __all__ = ["main"]
 
 
 class UsageError(ValueError):
     """Malformed input payload (exit code 2)."""
-
-
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 # --- input payload parsing --------------------------------------------------
@@ -121,6 +120,10 @@ def _vector(m: ModulePresentation, text: str):
 _LABELS = {"z": "Z", "q": "Q", "f2": "F2"}
 # Assembling the complex takes seconds at degree 7 and minutes at 8.
 _KMAX_LIMIT = 7
+# Tor at k = 256 takes seconds and at 512 minutes; the isogeny series
+# seconds at order 64 and half a minute at 96.
+_K_LIMIT = 256
+_ORDER_LIMIT = 64
 _RING_NAMES = {"Z": "Z", "Q": "Q[a]", "F2": "F2[a]"}
 
 
@@ -142,79 +145,54 @@ def _fmt_vector(vec) -> str:
     return "(" + ", ".join(str(p) for p in vec) + ")"
 
 
-# --- subcommand handlers ----------------------------------------------------
+# --- subcommand handlers: each returns (exit code, payload, text) -----------
 
-def _cmd_nf(args) -> int:
+def _cmd_nf(args):
     op = _operation(args.expr)
-    if args.json:
-        _emit_json(op.to_json())
-    else:
-        print(op)
-    return 0
+    return 0, op.to_json(), str(op)
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args):
     product = _operation(args.left) * _operation(args.right)
-    if args.json:
-        _emit_json(product.to_json())
-    else:
-        print(product)
-    return 0
+    return 0, product.to_json(), str(product)
 
 
-def _cmd_act(args) -> int:
+def _cmd_act(args):
     mod = _module_spec(args.module)
     op = _operation(args.expr)
     vec = (_vector(mod, args.vec) if args.vec is not None
            else mod.basis_vector(0))
     out = act(mod, op, vec)
-    if args.json:
-        _emit_json([p.to_json() for p in out])
-    else:
-        print(_fmt_vector(out))
-    return 0
+    return 0, [p.to_json() for p in out], _fmt_vector(out)
 
 
-def _cmd_tensor(args) -> int:
+def _cmd_tensor(args):
     mod = tensor(_module_spec(args.left), _module_spec(args.right))
     report = check_well_defined(mod)
-    if args.json:
-        payload = mod.to_json()
-        payload["well_defined"] = report["ok"]
-        _emit_json(payload)
-    else:
-        print("rank: %d" % mod.rank)
-        for i in range(3):
-            for k in range(mod.rank):
-                print("Q%d e%d = %s" % (i, k, _fmt_vector(mod.column(i, k))))
-        print("five-relation check: %s"
-              % ("ok" if report["ok"] else
-                 "FAILED (%d)" % len(report["failures"])))
-    return 0 if report["ok"] else 1
+    ok = report["ok"]
+    lines = ["rank: %d" % mod.rank]
+    lines += ["Q%d e%d = %s" % (i, k, _fmt_vector(mod.column(i, k)))
+              for i in range(3) for k in range(mod.rank)]
+    lines.append("five-relation check: %s"
+                 % ("ok" if ok else "FAILED (%d)" % len(report["failures"])))
+    payload = dict(mod.to_json(), well_defined=ok)
+    return (0 if ok else 1), payload, "\n".join(lines)
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args):
     ring = AmplifiedRing(theta_depth=3, word_depth=4)
     # "t^3 x" parses, but its theta leaves the window
-    value = _read(ring.theta, _read(ring.parse, args.expr),
-                  errors=WindowOverflowError)
-    if args.json:
-        _emit_json({"input": args.expr, "theta": str(value)})
-    else:
-        print(value)
-    return 0
+    value = str(_read(ring.theta, _read(ring.parse, args.expr),
+                      errors=WindowOverflowError))
+    return 0, {"input": args.expr, "theta": value}, value
 
 
-def _cmd_norm(args) -> int:
-    value = NormContext("R").norm_N(_base_ring_elem(args.expr))
-    if args.json:
-        _emit_json({"input": args.expr, "norm": str(value)})
-    else:
-        print(value)
-    return 0
+def _cmd_norm(args):
+    value = str(NormContext("R").norm_N(_base_ring_elem(args.expr)))
+    return 0, {"input": args.expr, "norm": value}, value
 
 
-def _cmd_ell(args) -> int:
+def _cmd_ell(args):
     x = _base_ring_elem(args.expr)
     # N x = (Q0 x)^3 = x^6 mod (2, a), so N x is a unit exactly when x is
     if x.constant_term() % 2 == 0:
@@ -222,34 +200,30 @@ def _cmd_ell(args) -> int:
     if args.prec2 < 1 or args.precA < 1:
         raise UsageError("precision out of range")
     ctx = NormContext("Shat", prec2=args.prec2, precA=args.precA)
-    value = ctx.log_ell(x)
-    if args.json:
-        _emit_json({"input": args.expr, "ell": str(value),
-                    "prec2": args.prec2, "precA": args.precA})
-    else:
-        print(value)
-    return 0
+    value = str(ctx.log_ell(x))
+    return 0, {"input": args.expr, "ell": value, "prec2": args.prec2,
+               "precA": args.precA}, value
 
 
-def _cmd_tor(args) -> int:
+def _cmd_tor(args):
     if args.k < 0:
         raise UsageError("k must be nonnegative")
+    if args.k > _K_LIMIT:
+        raise UsageError("--k must be at most %d" % _K_LIMIT)
     label = _LABELS[args.field]
     slices = tor_gamma_mod_I(args.k)[label]
-    if args.json:
-        _emit_json({"k": args.k, "field": label, "positions": slices})
-        return 0
-    print("Tor(Gamma/I, omega^%d) over %s" % (args.k, _RING_NAMES[label]))
+    lines = ["Tor(Gamma/I, omega^%d) over %s" % (args.k, _RING_NAMES[label])]
     if slices is None:
-        print("integral slice not defined: the differentials have "
-              "nonconstant entries; use --field q or --field f2")
-        return 0
-    for pos, pair in enumerate(slices):
-        print("position %d: %s" % (pos, _fmt_slice(label, pair)))
-    return 0
+        lines.append("integral slice not defined: the differentials have "
+                     "nonconstant entries; use --field q or --field f2")
+    else:
+        lines += ["position %d: %s" % (pos, _fmt_slice(label, pair))
+                  for pos, pair in enumerate(slices)]
+    payload = {"k": args.k, "field": label, "positions": slices}
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_acyclic(args) -> int:
+def _cmd_acyclic(args):
     if args.kmax > _KMAX_LIMIT:
         raise UsageError("--kmax must be at most %d" % _KMAX_LIMIT)
     mod = _module_json_or_name(args.module)
@@ -257,84 +231,72 @@ def _cmd_acyclic(args) -> int:
         raise UsageError("k_max must be nonnegative")
     _read(_require_well_defined, mod)
     report = acyclicity_check(mod, args.kmax, args.field)
-    if args.json:
-        _emit_json(report)
-        return 0 if report["ok"] else 1
     label = _LABELS[args.field]
-    print("module rank %d over %s[a], degree caps 1..%d"
-          % (report["module_rank"], label, args.kmax))
+    lines = ["module rank %d over %s[a], degree caps 1..%d"
+             % (report["module_rank"], label, args.kmax)]
     for cap in sorted(report["caps"]):
         entry = report["caps"][cap]
-        print("cap %d: h0 = %s, h1 = %s, h2 = %s  [%s]"
-              % (cap, _fmt_slice(label, entry["h0"]),
-                 _fmt_slice(label, entry["h1"]),
-                 _fmt_slice(label, entry["h2"]),
-                 "ok" if entry["ok"] else "FAILED"))
-    print("acyclic in positions 1 and 2: %s"
-          % ("yes" if report["ok"] else "NO"))
-    return 0 if report["ok"] else 1
+        lines.append("cap %d: h0 = %s, h1 = %s, h2 = %s  [%s]"
+                     % (cap, _fmt_slice(label, entry["h0"]),
+                        _fmt_slice(label, entry["h1"]),
+                        _fmt_slice(label, entry["h2"]),
+                        "ok" if entry["ok"] else "FAILED"))
+    lines.append("acyclic in positions 1 and 2: %s"
+                 % ("yes" if report["ok"] else "NO"))
+    return (0 if report["ok"] else 1), report, "\n".join(lines)
 
 
-def _cmd_isogeny(args) -> int:
+def _cmd_isogeny(args):
     if args.order < 2:
         raise UsageError("--order must be at least 2")
+    if args.order > _ORDER_LIMIT:
+        raise UsageError("--order must be at most %d" % _ORDER_LIMIT)
     iso = isogeny_series(args.order)
-    if args.json:
-        _emit_json({"order": args.order, "u": iso.u_series.to_json(),
-                    "v": iso.v_series.to_json(),
-                    "a_prime": iso.a_target.to_json()})
-    else:
-        print("u' = %s" % iso.u_series)
-        print("v' = %s" % iso.v_series)
-        print("a' = %s" % iso.a_target)
-    return 0
+    payload = {"order": args.order, "u": iso.u_series.to_json(),
+               "v": iso.v_series.to_json(), "a_prime": iso.a_target.to_json()}
+    text = "u' = %s\nv' = %s\na' = %s" % (iso.u_series, iso.v_series,
+                                           iso.a_target)
+    return 0, payload, text
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(args):
     try:
         comm = derive_commutation()
         adem = derive_adem_and_psi()
         qrep = q_series_mismatch_report()
     except ValueError as exc:
-        print("assertion failed: %s" % exc, file=sys.stderr)
-        return 1
-    relation = {}
-    for k in (1, 2):
-        lhs = "Q%d Q0" % k
-        relation[lhs] = format_word_combo(adem["rows"][k])
+        raise AssertionError(exc) from exc
+    relations = {"Q%d Q0" % k: "%s = 0" % format_word_combo(adem["rows"][k])
+                 for k in (1, 2)}
     commutation = ["Q%d a = %s" % (i, normal_form((c, [j])
                                                   for j, c in enumerate(row)))
                    for i, row in enumerate(comm["matrix"])]
     ok = comm["ok"] and adem["ok"] and qrep["only_known_mismatch"]
-    if args.json:
-        _emit_json({"commutation": commutation,
-                    "relations": {k: "%s = 0" % v
-                                  for k, v in relation.items()},
-                    "psi": str(adem["psi"]),
-                    "q_series": qrep, "ok": ok})
-        return 0 if ok else 1
-    for line in commutation:
-        print(line)
-    for lhs in ("Q1 Q0", "Q2 Q0"):
-        print("%s relation: %s = 0" % (lhs, relation[lhs]))
-    print("Psi = %s" % adem["psi"])
-    print("q-series mismatches: %d (known u^2 disagreement only: %s)"
-          % (len(qrep["mismatches"]),
-             "yes" if qrep["only_known_mismatch"] else "NO"))
-    for m in qrep["mismatches"]:
-        print("  Q%d at u^%d: isogeny gives %s, table gives %s"
-              % (m["series"], m["degree"], m["from_isogeny"], m["tabulated"]))
-    return 0 if ok else 1
+    lines = commutation + ["%s relation: %s" % item
+                           for item in relations.items()]
+    lines.append("Psi = %s" % adem["psi"])
+    lines.append("q-series mismatches: %d (known u^2 disagreement only: %s)"
+                 % (len(qrep["mismatches"]),
+                    "yes" if qrep["only_known_mismatch"] else "NO"))
+    lines += ["  Q%d at u^%d: isogeny gives %s, table gives %s"
+              % (m["series"], m["degree"], m["from_isogeny"], m["tabulated"])
+              for m in qrep["mismatches"]]
+    payload = {"commutation": commutation, "relations": relations,
+               "psi": str(adem["psi"]), "q_series": qrep, "ok": ok}
+    return (0 if ok else 1), payload, "\n".join(lines)
 
 
-def _cmd_verify_all(args) -> int:
-    if args.json:
-        results = [{"name": name, "ok": ok, "detail": detail}
-                   for name, ok, detail in run_checks()]
-        all_ok = all(r["ok"] for r in results)
-        _emit_json({"checks": results, "ok": all_ok})
-        return 0 if all_ok else 1
-    return 0 if run_all() else 1
+def _cmd_verify_all(args):
+    results = list(run_checks())
+    ok = all(passed for _, passed, _ in results)
+    lines = ["%2d/%d  %s  %-22s %s" % (idx, len(results),
+                                       "PASS" if passed else "FAIL", name,
+                                       detail)
+             for idx, (name, passed, detail) in enumerate(results, start=1)]
+    lines.append("overall: %s" % ("PASS" if ok else "FAIL"))
+    checks = [{"name": name, "ok": passed, "detail": detail}
+              for name, passed, detail in results]
+    return (0 if ok else 1), {"checks": checks, "ok": ok}, "\n".join(lines)
 
 
 # --- parser -----------------------------------------------------------------
@@ -346,6 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit JSON instead of text")
+    tor_flags = argparse.ArgumentParser(add_help=False)
+    tor_flags.add_argument("--k", type=int, required=True)
+    tor_flags.add_argument("--field", choices=("q", "f2", "z"), default="z")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
     sub.required = True
 
@@ -396,10 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="homology of the induced Koszul complex")
     ksub = p.add_subparsers(dest="koszul_command", metavar="FORM")
     ksub.required = True
-    kt = ksub.add_parser("tor", parents=[common],
+    kt = ksub.add_parser("tor", parents=[common, tor_flags],
                          help="Tor against the k-th power of omega")
-    kt.add_argument("--k", type=int, required=True)
-    kt.add_argument("--field", choices=("q", "f2", "z"), default="z")
     kt.set_defaults(func=_cmd_tor)
     ka = ksub.add_parser("acyclic", parents=[common],
                          help="acyclicity after base change to a field")
@@ -409,10 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ka.add_argument("--field", choices=("q", "f2"), default="q")
     ka.set_defaults(func=_cmd_acyclic)
 
-    p = sub.add_parser("tor", parents=[common],
+    p = sub.add_parser("tor", parents=[common, tor_flags],
                        help="shorthand for `koszul tor`")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--field", choices=("q", "f2", "z"), default="z")
     p.set_defaults(func=_cmd_tor)
 
     p = sub.add_parser("isogeny", parents=[common],
@@ -438,7 +399,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        code, payload, text = args.func(args)
+        print(json.dumps(payload, sort_keys=True, indent=2) if args.json
+              else text)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

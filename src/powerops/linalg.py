@@ -238,17 +238,17 @@ def ring_by_name(name: str):
 
 def mat_mul(ring, a: Matrix, b: Matrix) -> Matrix:
     """a @ b in row order: each nonzero a[i][t] adds a[i][t] * (row t of b)
-    into row i, over the nonzero entries of that row only."""
+    into row i, over the nonzero entries of that row only.  Every entry
+    type (int, coefficient tuple, Poly) is falsy exactly at zero."""
     if a.n != b.m:
         raise ValueError("inner dimensions differ: %d vs %d" % (a.n, b.m))
-    is_zero, add, mul = ring.is_zero, ring.add, ring.mul
-    b_rows = [[(j, y) for j, y in enumerate(row) if not is_zero(y)]
-              for row in b.rows]
+    add, mul = ring.add, ring.mul
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.rows]
     rows = []
     for arow in a.rows:
         acc = [ring.zero] * b.n
         for x, brow in zip(arow, b_rows):
-            if not is_zero(x):
+            if x:
                 for j, y in brow:
                     acc[j] = add(acc[j], mul(x, y))
         rows.append(acc)

@@ -1,9 +1,9 @@
 """End-to-end verification suite.
 
 Twelve independent checks, one per advertised capability, each returning
-(ok, detail).  `run_checks` executes them in order; `run_all` prints one
-line per check, and the command-line front end's `verify-all` prints
-either those lines or the same results as JSON.
+(ok, detail).  `run_checks` executes them in order; the command-line
+front end's `verify-all` formats those results once, as one line per
+check or as JSON.
 
 One check is expected to fail by design: `check_continuity` sweeps the
 (2, a)-adic continuity claim over composite operation monomials, where it
@@ -30,7 +30,7 @@ from .koszul import build_complex, acyclicity_check, tor_gamma_mod_I
 from .curve import (isogeny_series, TARGET_A, q_series_mismatch_report,
                     derive_commutation, derive_adem_and_psi)
 
-__all__ = ["CHECKS", "run_checks", "run_all", "run_named"]
+__all__ = ["CHECKS", "run_checks", "run_named"]
 
 
 def check_ranks():
@@ -349,19 +349,3 @@ def run_checks():
     """Run every check in order, yielding (name, ok, detail)."""
     for name, func in CHECKS:
         yield (name,) + tuple(func())
-
-
-def run_all() -> bool:
-    """Run every check, print one line each, return overall success.
-
-    The output is byte-identical across runs (all randomness is seeded, so
-    the details are deterministic, and no timings are printed).
-    """
-    all_ok = True
-    for idx, (name, ok, detail) in enumerate(run_checks(), start=1):
-        all_ok = all_ok and ok
-        print("%2d/%d  %s  %-22s %s" % (idx, len(CHECKS),
-                                        "PASS" if ok else "FAIL", name,
-                                        detail))
-    print("overall: %s" % ("PASS" if all_ok else "FAIL"))
-    return all_ok

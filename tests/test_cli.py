@@ -327,6 +327,16 @@ class TestCurveCommands:
         assert payload["ok"] is True
         assert payload["q_series"]["only_known_mismatch"] is True
 
+    def test_failed_derivation_exits_1(self, capsys, monkeypatch):
+        # a derivation that cannot finish is a failed assertion, not a bug
+        import powerops.cli as cli
+
+        def broken():
+            raise ValueError("x")
+        monkeypatch.setattr(cli, "derive_commutation", broken)
+        code, out, err = run_cli(capsys, "derive")
+        assert (code, out, err) == (1, "", "assertion failed: x\n")
+
 
 class TestVerifyAll:
     def test_exit_code_reflects_known_failure(self, capsys):

@@ -2,8 +2,8 @@
 
 Each case runs `cli.main` in process and compares stdout, stderr and the
 exit code with `tests/data/cli_golden.json`.  The cases cover every
-subcommand except `verify-all` (which `test_cli.py` checks), text and
-`--json` output, malformed payloads (exit 2) and argparse errors (exit 2).
+subcommand, `verify-all` included, text and `--json` output, malformed
+payloads (exit 2) and argparse errors (exit 2).
 
 To regenerate the golden file after an intended change of output:
 
@@ -68,6 +68,8 @@ CASES = [
     ["koszul", "tor", "--k", "1", "--json"],
     ["tor", "--k", "2", "--field", "f2"],
     ["tor", "--k", "-1"],
+    ["tor", "--k", "257"],
+    ["koszul", "tor", "--k", "257", "--json"],
     ["koszul", "acyclic", "--module", "omega", "--kmax", "2"],
     ["koszul", "acyclic", "--module", "R", "--kmax", "2", "--field", "f2",
      "--json"],
@@ -75,6 +77,7 @@ CASES = [
     ["isogeny", "--order", "6"],
     ["isogeny", "--order", "4", "--json"],
     ["isogeny", "--order", "1"],
+    ["isogeny", "--order", "65"],
     ["derive"],
     ["derive", "--json"],
     [],
@@ -85,6 +88,8 @@ CASES = [
     ["act", "Q1", "--vec", "[[1.5]]"],
     ["act", "Q1", "--vec", "[[true]]"],
     ["mul", "a - 18446744073709551616", "Q0"],
+    ["verify-all"],
+    ["verify-all", "--json"],
 ]
 
 
