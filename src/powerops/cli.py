@@ -124,6 +124,10 @@ _KMAX_LIMIT = 7
 # seconds at order 64 and half a minute at 96.
 _K_LIMIT = 256
 _ORDER_LIMIT = 64
+# The logarithm takes seconds at --prec2 256 --precA 256, and its cost grows
+# with both: 17 s at 512 and 256, 21 s at 256 and 512.
+_PREC2_LIMIT = 256
+_PRECA_LIMIT = 256
 _RING_NAMES = {"Z": "Z", "Q": "Q[a]", "F2": "F2[a]"}
 
 
@@ -193,6 +197,10 @@ def _cmd_norm(args):
 
 
 def _cmd_ell(args):
+    if args.prec2 > _PREC2_LIMIT:
+        raise UsageError("--prec2 must be at most %d" % _PREC2_LIMIT)
+    if args.precA > _PRECA_LIMIT:
+        raise UsageError("--precA must be at most %d" % _PRECA_LIMIT)
     x = _base_ring_elem(args.expr)
     # N x = (Q0 x)^3 = x^6 mod (2, a), so N x is a unit exactly when x is
     if x.constant_term() % 2 == 0:

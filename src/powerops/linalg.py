@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, _dense_mul
+from .poly import Poly, _add, _dense_divmod, _dense_mul, _trim
 
 __all__ = ["Matrix", "IntRing", "FieldPolyRing", "ZZ", "QA", "F2A",
            "ring_by_name", "mat_mul", "unit_pivot_elimination",
@@ -123,16 +123,10 @@ class FieldPolyRing:
     def _s(self, c):
         return c % 2 if self.char == 2 else Fraction(c)
 
-    def _trim(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        return tuple(coeffs)
-
     def coerce(self, x):
         if isinstance(x, Poly):
-            return self._trim(self._s(c) for c in x.coeffs)
-        return self._trim((self._s(int(x)),))
+            return _trim(tuple(map(self._s, x.coeffs)))
+        return _trim((self._s(int(x)),))
 
     def is_zero(self, x):
         return not x
@@ -144,12 +138,8 @@ class FieldPolyRing:
         return len(x) == 1
 
     def add(self, x, y):
-        if len(x) < len(y):
-            x, y = y, x
-        out = list(x)
-        for i, c in enumerate(y):
-            out[i] += c
-        return self._reduce(out)
+        out = _add(x, y)
+        return self._reduce(out) if self.char else out
 
     def neg(self, x):
         if self.char:
@@ -169,30 +159,14 @@ class FieldPolyRing:
         characteristic, with no trailing zeros."""
         if self.char:
             coeffs = [c % self.char for c in coeffs]
-        return self._trim(coeffs)
+        return _trim(coeffs)
 
     def divmod_pair(self, x, y):
         if not y:
             raise ZeroDivisionError
         lead_inv = self._inv(y[-1])
-        rem = list(x)
-        quo = [self._s(0)] * max(len(x) - len(y) + 1, 0)
-        while len(rem) >= len(y) and self._trim(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) < len(y):
-                break
-            c = rem[-1] * lead_inv
-            if self.char:
-                c %= self.char
-            k = len(rem) - len(y)
-            quo[k] = c
-            for i, yi in enumerate(y):
-                rem[k + i] -= c * yi
-                if self.char:
-                    rem[k + i] %= self.char
-            rem.pop()
-        return self._trim(quo), self._trim(rem)
+        quo, rem = _dense_divmod(x, y, lambda c: self._s(c * lead_inv))
+        return self._reduce(quo), self._reduce(rem)
 
     def _inv(self, c):
         if self.char:

@@ -64,9 +64,13 @@ class ModulePresentation:
 
     @staticmethod
     def from_json(data) -> "ModulePresentation":
+        """Read `to_json`'s object; the rank is an int (not a bool) >= 0."""
+        rank = data["rank"]
+        if type(rank) is not int or rank < 0:
+            raise ValueError("rank %r is not a nonnegative integer" % (rank,))
         mats = [[[Poly.from_json(c) for c in row] for row in data[key]]
                 for key in ("Q0", "Q1", "Q2")]
-        return ModulePresentation(data["rank"], *mats)
+        return ModulePresentation(rank, *mats)
 
     def __repr__(self):
         return "ModulePresentation(rank=%d)" % self.rank

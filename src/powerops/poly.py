@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from itertools import repeat
-from operator import add, mul, neg
+from operator import add, mul, neg, pos
 
 __all__ = ["Poly", "ZERO", "ONE", "A", "DISC", "power", "summands",
            "format_terms"]
@@ -18,7 +18,7 @@ __all__ = ["Poly", "ZERO", "ONE", "A", "DISC", "power", "summands",
 
 def _trim(coeffs):
     n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+    while n and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
 
@@ -173,44 +173,25 @@ class Poly:
         """Quotient and remainder by a monic divisor; both stay in Z[a]."""
         if divisor.leading() != 1:
             raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dd = divisor.degree()
-        quo = [0] * max(0, len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                quo[i - dd] = c
-                for j, dj in enumerate(divisor.coeffs):
-                    rem[i - dd + j] -= c * dj
-        return Poly(quo), Poly(rem)
+        quo, rem = _dense_divmod(self.coeffs, divisor.coeffs, pos)
+        return _trusted(tuple(quo)), _trusted(_trim(rem))
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Exact division; raises if the divisor does not divide self."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return ZERO
-        # Scale to a monic computation when the leading coefficient is +-1,
-        # otherwise do fraction-free trial division.
-        rem = list(self.coeffs)
-        dd = divisor.degree()
         lead = divisor.leading()
-        if len(rem) - 1 < dd:
-            raise ValueError("not divisible")
-        quo = [0] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            if c % lead:
+
+        def divide(c):
+            q, r = divmod(c, lead)
+            if r:
                 raise ValueError("not divisible")
-            q = c // lead
-            quo[i - dd] = q
-            for j, dj in enumerate(divisor.coeffs):
-                rem[i - dd + j] -= q * dj
+            return q
+
+        quo, rem = _dense_divmod(self.coeffs, divisor.coeffs, divide)
         if any(rem):
             raise ValueError("not divisible")
-        return Poly(quo)
+        return _trusted(tuple(quo))
 
     def divisible_by_int(self, n: int) -> bool:
         return all(c % n == 0 for c in self.coeffs)
@@ -303,6 +284,24 @@ def _dense_mul(x, y, n=None, zero=0):
             for j, yj in enumerate(y[:size - i], i):
                 out[j] += xi * yj
     return out
+
+
+def _dense_divmod(x, y, divide):
+    """Long division of dense coefficient sequences: the lists (q, r) with
+    x = q*y + r and len(r) < len(y), where y's top coefficient is nonzero
+    and divide(c) is c over it.  Zero coefficients of x and y are skipped,
+    and the coefficient each step cancels is left as it is, since r keeps
+    only the ones below y's top."""
+    r = list(x)
+    top = len(y) - 1
+    low = [(j, yj) for j, yj in enumerate(y[:top]) if yj]
+    q = [0] * max(len(r) - top, 0)
+    for k in range(len(q) - 1, -1, -1):
+        if r[k + top]:
+            c = q[k] = divide(r[k + top])
+            for j, yj in low:
+                r[k + j] -= c * yj
+    return q, r[:top]
 
 
 def _series_reciprocal(x, n: int, inv0, zero=0):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-from .poly import Poly, A, DISC, power, summands, _trusted
+from .poly import Poly, A, DISC, power, summands, _dense_divmod, _trusted
 
 __all__ = ["SFrac", "S2Elem", "S22Elem", "TARGET_A", "tower_reduce",
            "parse_tower_expr"]
@@ -246,13 +246,9 @@ class S2Elem:
 
     @classmethod
     def from_powers(cls, coeffs):
-        """sum coeffs[k] x^k, folded by x^k = A x^(k-2) + 2 x^(k-3)."""
-        c = list(coeffs) + [0] * (3 - len(coeffs))
-        for k in range(len(c) - 1, 2, -1):
-            if c[k]:
-                c[k - 2] = c[k - 2] + cls.a_coeff * c[k]
-                c[k - 3] = c[k - 3] + c[k] + c[k]
-        return cls(*c[:3])
+        """sum coeffs[k] x^k, reduced mod x^3 - A x - 2."""
+        return cls(*_dense_divmod(coeffs, (-2, -cls.a_coeff, 0, 1),
+                                 lambda c: c)[1])
 
     @classmethod
     def _lift(cls, x):

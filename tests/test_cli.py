@@ -208,6 +208,21 @@ class TestInputSyntax:
         (["koszul", "acyclic", "--module",
           '{"rank": 1, "Q0": [["1"]], "Q1": [["1"]], "Q2": [["0"]]}'], 2,
          None),
+        # a module's rank is an int >= 0, as a JSON coefficient is an int
+        (["koszul", "acyclic", "--module",
+          '{"rank": 1.0, "Q0": [[[1]]], "Q1": [[[]]], "Q2": [[[]]]}'], 2,
+         "error: bad module JSON: rank 1.0 is not a nonnegative integer\n"),
+        (["koszul", "acyclic", "--module",
+          '{"rank": true, "Q0": [[[1]]], "Q1": [[[]]], "Q2": [[[]]]}'], 2,
+         None),
+        (["koszul", "acyclic", "--module",
+          '{"rank": "1", "Q0": [[[1]]], "Q1": [[[]]], "Q2": [[[]]]}'], 2,
+         None),
+        # precisions past their limits exit before any work
+        (["ell", "1 + 2 a", "--prec2", "257"], 2,
+         "error: --prec2 must be at most 256\n"),
+        (["ell", "1 + 2 a", "--precA", "257"], 2,
+         "error: --precA must be at most 256\n"),
     ]
 
     @pytest.mark.parametrize("argv, code, expect", CASES,

@@ -90,6 +90,14 @@ CASES = [
     ["mul", "a - 18446744073709551616", "Q0"],
     ["verify-all"],
     ["verify-all", "--json"],
+    ["koszul", "acyclic", "--module",
+     '{"rank": 1.0, "Q0": [[[1]]], "Q1": [[[]]], "Q2": [[[]]]}'],
+    ["koszul", "acyclic", "--module",
+     '{"rank": true, "Q0": [[[1]]], "Q1": [[[]]], "Q2": [[[]]]}'],
+    ["koszul", "acyclic", "--module",
+     '{"rank": "1", "Q0": [[[1]]], "Q1": [[[]]], "Q2": [[[]]]}'],
+    ["ell", "1 + 2 a", "--prec2", "257"],
+    ["ell", "1 + 2 a", "--precA", "257", "--json"],
 ]
 
 

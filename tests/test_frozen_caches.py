@@ -1,0 +1,63 @@
+"""The shared caches are never mutated.
+
+Straightening keeps a table of packed images per slot width
+(`opalgebra._tables`), and `AmplifiedRing` memoizes Q and theta of
+generators and monomials.  Callers receive the cached dicts themselves, so
+these tests warm the caches up, copy every cached term dict, compute again
+(and with the returned values), and check that every copy still equals
+the dict it was taken from.
+"""
+
+from powerops import opalgebra
+from powerops.amplified import AmplifiedRing
+from powerops.koszul import build_complex
+from powerops.opalgebra import normal_form
+from powerops.opmodules import omega
+from powerops.poly import A
+
+
+def work(ring):
+    """Operation products, a Koszul complex, and theta and Q in `ring`;
+    returns the values they computed."""
+    x, y = normal_form("a Q1 - Q2"), normal_form("Q0 + 3 a^2 Q1")
+    ops = [x * y, y * x, (x * y) * x]
+    assert build_complex(omega(), 4).d_squared_checks() == (True, True)
+    g = ring.x()
+    p = g * g + ring.const(A) * g
+    amps = [ring.theta(p), ring.theta(g * g * g), ring.q(1, p),
+            ring.q(2, g * g)]
+    return ops, amps
+
+
+def memoized(ring):
+    """Every AmplifiedPoly the ring's memos hold."""
+    return [p for memo in (ring._q_gen_memo, ring._q_mono_memo,
+                           ring._theta_mono_memo)
+            for value in memo.values()
+            for p in (value if isinstance(value, tuple) else (value,))]
+
+
+def cached_term_dicts(ring):
+    """(dict, copy) for every term dict the caches hold."""
+    held = [(terms, dict(terms)) for table in opalgebra._tables.values()
+            for terms, _ in table.values()]
+    return held + [(p.terms, dict(p.terms)) for p in memoized(ring)]
+
+
+def test_caches_are_never_mutated():
+    ring = AmplifiedRing(2, 3)
+    work(ring)
+    held = cached_term_dicts(ring)
+    assert opalgebra._tables[opalgebra._START_WIDTH]
+    assert ring._q_gen_memo and ring._q_mono_memo and ring._theta_mono_memo
+    ops, amps = work(ring)
+    for u in ops:
+        for v in ops:
+            u + v, u - v, u * v
+    amps += memoized(ring)
+    for u in amps:
+        for v in amps:
+            u + v, u - v, u * v
+    for u in amps[:4]:
+        ring.theta(u + u), ring.q(1, u)
+    assert all(cached == copy for cached, copy in held)

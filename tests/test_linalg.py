@@ -64,10 +64,11 @@ def sympy_invariants(ring, mat):
             continue
         p = sympy.Poly(d, _a)
         p = p.monic() if ring is QA else p
-        coeffs = p.all_coeffs()[::-1]
-        out.append(ring._trim(
-            (int(c) % 2 if ring is F2A else Fraction(c.p, c.q))
-            for c in coeffs))
+        coeffs = [int(c) % 2 if ring is F2A else Fraction(c.p, c.q)
+                  for c in p.all_coeffs()[::-1]]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out.append(tuple(coeffs))
     return out
 
 

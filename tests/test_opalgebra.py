@@ -248,6 +248,20 @@ def test_cartan_is_the_cubic_product(x, y):
                                 Poly(0))
 
 
+# Small elements: monomials of degree at most 2 with linear coefficients,
+# since pushing a scalar through Q0^j squares it j times.
+small_ops = st.dictionaries(
+    st.sampled_from([m for k in range(3) for m in basis_of_degree(k)]),
+    st.lists(st.integers(-3, 3), max_size=2).map(Poly),
+    max_size=3).map(Operation)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(small_ops, small_ops, small_ops)
+def test_products_associate(x, y, z):
+    assert (x * y) * z == x * (y * z)
+
+
 class TestZeroHandling:
     def test_cancellation(self):
         x = normal_form("Q1 Q0")

@@ -157,3 +157,22 @@ def test_quotient_claims_only_what_it_knows(x, px, y, py):
     n, m = min(px[0], py[0]), min(px[1], py[1])
     assert (q.prec2, q.precA) == (n, m)
     assert reduced(Poly(q.res) * x, n, m) == reduced(y, n, m)
+
+
+padics = st.builds(PadicElem.from_poly, polys, st.integers(1, 24),
+                   st.integers(0, 8))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(padics, padics, padics)
+def test_ring_laws_at_mixed_precisions(x, y, z):
+    # every sum and product claims the smaller of its operands' precisions
+    for got in (x + y, x - y, x * y):
+        assert (got.prec2, got.precA) == (min(x.prec2, y.prec2),
+                                          min(x.precA, y.precA))
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x - y) + y == x.with_precision(min(x.prec2, y.prec2),
+                                           min(x.precA, y.precA))

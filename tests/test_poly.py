@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powerops.poly import Poly, A, DISC, ONE, ZERO, summands
+from powerops.poly import Poly, A, DISC, ONE, ZERO, summands, _dense_divmod
 
 
 def rand_poly(rng, deg=5, size=9):
@@ -146,3 +147,68 @@ def test_summands_grammar():
                  "a - * b", "Q[1 x", "a % b", "(^2"]:
         with pytest.raises(ValueError):
             summands(text)
+
+
+# --- the one long division, over Z[a], Q[a] and F2[a] ----------------------
+
+ints = st.lists(st.integers(-50, 50), max_size=7)
+
+
+def plus_times(q, y, r):
+    """The coefficient list of q*y + r, by the schoolbook product."""
+    out = [0] * max(len(q) + len(y) - 1, len(r))
+    for i, qi in enumerate(q):
+        for j, yj in enumerate(y):
+            out[i + j] += qi * yj
+    for i, ri in enumerate(r):
+        out[i] += ri
+    return out
+
+
+def same(x, y, mod=None):
+    """x == y as coefficient lists, up to trailing zeros (and mod `mod`)."""
+    n = max(len(x), len(y))
+    x, y = list(x) + [0] * (n - len(x)), list(y) + [0] * (n - len(y))
+    if mod:
+        return all((a - b) % mod == 0 for a, b in zip(x, y))
+    return x == y
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ints, ints)
+def test_dense_divmod_by_monic(x, y):
+    y = y[:4] + [1]
+    q, r = _dense_divmod(x, y, lambda c: c)
+    assert same(plus_times(q, y, r), x) and len(r) < len(y)
+    assert Poly(x).divmod_monic(Poly(y)) == (Poly(q), Poly(r))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ints, ints, st.integers(1, 9).map(lambda n: n * (-1) ** n))
+def test_dense_divmod_exact_non_monic(p, y, lead):
+    y = y[:4] + [lead]
+    x = plus_times(p, y, [])
+    q, r = _dense_divmod(x, y, lambda c: c // lead)
+    assert same(q, p) and not any(r)
+    assert Poly(x).divide_exact(Poly(y)) == Poly(p)
+    if len(y) > 1 or abs(lead) > 1:  # y is not a unit
+        with pytest.raises(ValueError):
+            Poly(plus_times(p, y, [1])).divide_exact(Poly(y))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ints, ints, st.integers(1, 7), st.integers(1, 5))
+def test_dense_divmod_over_q(x, y, num, den):
+    x = [Fraction(c, den) for c in x]
+    y = [Fraction(c, 3) for c in y[:4]] + [Fraction(num, den)]
+    q, r = _dense_divmod(x, y, lambda c: c / y[-1])
+    assert same(plus_times(q, y, r), x) and len(r) < len(y)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ints, ints)
+def test_dense_divmod_over_f2(x, y):
+    x = [c % 2 for c in x]
+    y = [c % 2 for c in y[:4]] + [1]
+    q, r = _dense_divmod(x, y, lambda c: c % 2)
+    assert same(plus_times(q, y, r), x, mod=2) and len(r) < len(y)

@@ -442,3 +442,24 @@ def test_s22_has_zero_divisors():
     assert not x.is_zero() and x.norm() == 0 and x.f_star() == 0
     with pytest.raises(ZeroDivisionError):
         x.inv()
+
+
+def folded(cls, coeffs):
+    """sum coeffs[k] x^k folded by x^k = A x^(k-2) + 2 x^(k-3), top down."""
+    c = list(coeffs) + [0] * (3 - len(coeffs))
+    for k in range(len(c) - 1, 2, -1):
+        c[k - 2] = c[k - 2] + cls.a_coeff * c[k]
+        c[k - 3] = c[k - 3] + c[k] + c[k]
+    return cls(*c[:3])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(sfracs, max_size=8))
+def test_s2_from_powers_is_the_fold(coeffs):
+    assert S2Elem.from_powers(coeffs) == folded(S2Elem, coeffs)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(s2s, max_size=6))
+def test_s22_from_powers_is_the_fold(coeffs):
+    assert S22Elem.from_powers(coeffs) == folded(S22Elem, coeffs)
