@@ -33,7 +33,7 @@ from .opmodules import (ModulePresentation, standard_module, omega_power,
 from .amplified import AmplifiedRing, WindowOverflowError
 from .normlog import NormContext
 from .padic import DEFAULT_PREC2, DEFAULT_PRECA
-from .tower import parse_tower_expr
+from .tower import _TOWER_ATOMS, parse_tower_expr
 from .koszul import acyclicity_check, tor_gamma_mod_I, _require_well_defined
 from .curve import (DEFAULT_ORDER, isogeny_series, derive_commutation,
                     derive_adem_and_psi, q_series_mismatch_report,
@@ -63,7 +63,15 @@ def _operation(text: str) -> Operation:
 
 
 def _base_ring_elem(text: str) -> Poly:
-    """Parse an expression that must lie in the base ring Z[a]."""
+    """Parse an expression that must lie in the base ring Z[a].
+
+    Each summand's degree in a, d and d' is checked before anything is
+    built, so `a^99999999` is refused without being computed.
+    """
+    for _, factors in _read(summands, text, "cannot parse %r: " % text):
+        if sum(k for tok, k in factors if tok in _TOWER_ATOMS) > _DEGREE_LIMIT:
+            raise UsageError("%r has a term of degree above %d in a, d and "
+                             "d'" % (text, _DEGREE_LIMIT))
     elem = _read(parse_tower_expr, text, "cannot parse %r: " % text)
     const = elem.c[0].c[0]
     if not const.is_in_R():
@@ -124,6 +132,10 @@ _KMAX_LIMIT = 7
 # seconds at order 64 and half a minute at 96.
 _K_LIMIT = 256
 _ORDER_LIMIT = 64
+# The norm of a^256 takes a second and of a^400 four; at --prec2 256
+# --precA 256 the logarithm of 1 + a^256 takes 4 s.  Dense inputs of
+# degree 256 take 5 s (norm) and 14 s (logarithm).
+_DEGREE_LIMIT = 256
 # The logarithm takes seconds at --prec2 256 --precA 256, and its cost grows
 # with both: 17 s at 512 and 256, 21 s at 256 and 512.
 _PREC2_LIMIT = 256

@@ -73,14 +73,10 @@ def _mono(key) -> Operation:
     return Operation({key: ONE})
 
 
-def _columns(m: int, cols) -> Matrix:
-    """The m-row matrix with the given columns."""
-    return Matrix(m, len(cols), [[col[r] for col in cols] for r in range(m)])
-
-
 def _matrix(index, cols) -> Matrix:
-    """The matrix whose columns are given as {basis element: entry} dicts,
-    rows numbered by `index`; every other entry is ZERO."""
+    """The matrix whose columns are given as {row key: entry} dicts, rows
+    numbered by `index` (a dict, or a range for integer keys); every other
+    entry is ZERO."""
     rows = [[ZERO] * len(cols) for _ in range(len(index))]
     for n, col in enumerate(cols):
         for b, e in col.items():
@@ -148,10 +144,10 @@ class TruncatedComplex:
     # -- assembly -----------------------------------------------------------
 
     def _build_d0(self) -> Matrix:
-        return _columns(self.module.rank,
-                        [act(self.module, _mono(key),
-                             self.module.basis_vector(l))
-                         for key, l in self.p0_basis])
+        return _matrix(range(self.module.rank),
+                       [dict(enumerate(act(self.module, _mono(key),
+                                           self.module.basis_vector(l))))
+                        for key, l in self.p0_basis])
 
     def _d1_column(self, key, i, l):
         """Column (key, i, l) of d1 as (mono, p, letters, tail) items:
@@ -328,17 +324,6 @@ def tor_gamma_mod_I(k: int) -> dict:
 
 # --- identification of K2 inside degree 2 -----------------------------------
 
-def _rho_matrix() -> Matrix:
-    """The relations as the columns of a 9 x 2 matrix on Q_i (x) Q_j."""
-    cols = []
-    for terms in RELATIONS:
-        v = [ZERO] * 9
-        for c, i, j in terms:
-            v[3 * i + j] = v[3 * i + j] + c
-        cols.append(v)
-    return _columns(9, cols)
-
-
 def identification_check() -> dict:
     """K2 matches the kernel of multiplication in degree 1 x 1 -> 2.
 
@@ -346,22 +331,16 @@ def identification_check() -> dict:
     checks both relation vectors are killed exactly over Z[a], and that
     over Q[a] the kernel has rank 2 and coincides with their span.
     """
-    deg2 = basis_of_degree(2)
-    idx2 = {key: n for n, key in enumerate(deg2)}
-    cols = []
-    for i in range(3):
-        for j in range(3):
-            prod = Operation.q(i) * Operation.q(j)
-            col = [ZERO] * len(deg2)
-            for key, coeff in prod.terms.items():
-                col[idx2[key]] = coeff
-            cols.append(col)
-    mult = _columns(len(deg2), cols)
-    rho = _rho_matrix()
+    mult = _matrix({key: n for n, key in enumerate(basis_of_degree(2))},
+                   [(Operation.q(i) * Operation.q(j)).terms
+                    for i in range(3) for j in range(3)])
+    # the relations as columns on Q_i (x) Q_j, numbered 3 i + j
+    rho = _matrix(range(9), [{3 * i + j: c for c, i, j in terms}
+                             for terms in RELATIONS])
     killed = _composes_to_zero(mult, rho)
 
     def _rank(ring, mat):
-        snf, _, _ = smith_normal_form(ring, mat)
+        snf, _ = smith_normal_form(ring, mat)
         return len(diagonal_invariants(ring, snf))
 
     kb = kernel_basis(QA, _coerced(QA, mult))

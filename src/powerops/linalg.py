@@ -1,8 +1,9 @@
 """Exact matrix algebra over Z, Q[a], and F2[a].
 
-Smith normal form over a Euclidean domain with column-transform tracking,
-kernel bases, and the homology of a pair of composable maps.  Matrices
-carry explicit shape so zero-dimensional edge cases stay unambiguous.
+Smith normal form over a Euclidean domain, kernel bases from its column
+transform, and the homology of a pair of composable maps from invariant
+factors alone.  Matrices carry explicit shape so zero-dimensional edge
+cases stay unambiguous.
 
 `unit_pivot_elimination` is a separate, sparse route for matrices over
 Z[a] itself: it pivots on constant +-1 entries only, so when it clears a
@@ -293,18 +294,17 @@ def unit_pivot_elimination(mat: Matrix):
 
 
 def smith_normal_form(ring, mat: Matrix, track: bool = False):
-    """Diagonalize U @ mat @ V with unimodular U, V; returns (S, V, Vinv).
+    """Diagonalize U @ mat @ V with unimodular U, V; returns (S, V).
 
-    Row transforms are not tracked: kernels only need V, and cokernel
-    invariants need no transforms at all.  Diagonal entries form a
-    divisibility chain in canonical form (nonnegative over Z, monic over
-    the polynomial rings).  V and Vinv are None unless track is set.
+    Only V is tracked, and only when track is set (V is None otherwise):
+    kernels need V, and invariant factors need no transforms at all.
+    Diagonal entries form a divisibility chain in canonical form
+    (nonnegative over Z, monic over the polynomial rings).
     """
     m, n = mat.m, mat.n
     S = [row[:] for row in mat.rows]
     V = [[ring.one if i == j else ring.zero for j in range(n)]
          for i in range(n)] if track else None
-    Vinv = [row[:] for row in V] if track else None
 
     def col_addmul(j, i, c):
         for r in range(m):
@@ -314,9 +314,6 @@ def smith_normal_form(ring, mat: Matrix, track: bool = False):
             for r in range(n):
                 if not ring.is_zero(V[r][i]):
                     V[r][j] = ring.add(V[r][j], ring.mul(c, V[r][i]))
-            nc = ring.neg(c)
-            Vinv[i] = [ring.add(Vinv[i][t], ring.mul(nc, Vinv[j][t]))
-                       for t in range(n)]
 
     def col_swap(i, j):
         for r in range(m):
@@ -324,7 +321,6 @@ def smith_normal_form(ring, mat: Matrix, track: bool = False):
         if track:
             for r in range(n):
                 V[r][i], V[r][j] = V[r][j], V[r][i]
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def row_addmul(i, j, c):
         S[i] = [ring.add(S[i][t], ring.mul(c, S[j][t])) for t in range(n)]
@@ -391,9 +387,7 @@ def smith_normal_form(ring, mat: Matrix, track: bool = False):
         if not ring.is_one(u):
             S[t] = [ring.mul(u, x) for x in S[t]]
         t += 1
-    return (Matrix(m, n, S),
-            Matrix(n, n, V) if track else None,
-            Matrix(n, n, Vinv) if track else None)
+    return Matrix(m, n, S), Matrix(n, n, V) if track else None
 
 
 def diagonal_invariants(ring, snf: Matrix):
@@ -408,7 +402,7 @@ def diagonal_invariants(ring, snf: Matrix):
 
 def kernel_basis(ring, mat: Matrix):
     """Columns of a basis of ker(mat) as lists of ring elements."""
-    snf, v, _ = smith_normal_form(ring, mat, track=True)
+    snf, v = smith_normal_form(ring, mat, track=True)
     r = len(diagonal_invariants(ring, snf))
     return [v.column(j) for j in range(r, mat.n)]
 
@@ -417,29 +411,24 @@ def homology_triple(ring, d1: Matrix, d2: Matrix):
     """(h0, h1, h2) of 0 -> P2 --d2--> P1 --d1--> P0 -> 0, each as
     (free_rank, nontrivial_divisors).
 
-    d1 d2 must vanish.  Two Smith forms in all: the tracked one of d1
-    gives coker d1 (h0) on its diagonal and, through Vinv, carries d2
-    into ker d1; the one of that image gives h1, and its rank, which is
-    the rank of d2, gives h2 = ker d2, free over a PID.  Divisors come
-    back in canonical form with units dropped, so a zero module reads
-    (0, []).
+    d1 d2 must vanish.  The untracked Smith forms of d1 and d2 give all
+    three: h0 = coker d1 is on d1's diagonal; im d1 lies in the free P0,
+    so it is free and coker d2 = h1 (+) im d1, which gives h1 the divisors
+    of d2 and free rank d1.n - r1 - r2 (r the ranks); h2 = ker d2 is free
+    over a PID.  Divisors come back in canonical form with units dropped,
+    so a zero module reads (0, []).
     """
     if d1.n != d2.m:
         raise ValueError("position dimensions differ: %d vs %d"
                          % (d1.n, d2.m))
-    snf, _, vinv = smith_normal_form(ring, d1, track=True)
-    divs1 = diagonal_invariants(ring, snf)
-    r = len(divs1)
-    w = mat_mul(ring, vinv, d2)
-    for i in range(r):
-        if not all(ring.is_zero(x) for x in w.rows[i]):
-            raise ValueError("maps do not compose to zero")
-    k = d1.n - r
-    sx, _, _ = smith_normal_form(ring, Matrix(k, d2.n, w.rows[r:]))
-    divs2 = diagonal_invariants(ring, sx)
-    return ((d1.m - r, [d for d in divs1 if not ring.is_unit(d)]),
-            (k - len(divs2), [d for d in divs2 if not ring.is_unit(d)]),
-            (d2.n - len(divs2), []))
+    if any(any(row) for row in mat_mul(ring, d1, d2).rows):
+        raise ValueError("maps do not compose to zero")
+    divs1 = diagonal_invariants(ring, smith_normal_form(ring, d1)[0])
+    divs2 = diagonal_invariants(ring, smith_normal_form(ring, d2)[0])
+    r1, r2 = len(divs1), len(divs2)
+    return ((d1.m - r1, [d for d in divs1 if not ring.is_unit(d)]),
+            (d1.n - r1 - r2, [d for d in divs2 if not ring.is_unit(d)]),
+            (d2.n - r2, []))
 
 
 def homology(ring, d_out: Matrix, d_in: Matrix):

@@ -100,16 +100,6 @@ class Series:
                                 self.coeffs[0].inv(), self.zero)
         return Series(out, self.order, self.zero)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            raise ValueError("series ring has no generic unit; avoid x**0")
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     def agrees_with(self, other: "Series", order=None) -> bool:
         """Equality of all coefficients known to both (or below `order`)."""
         o = min(self.order, other.order)

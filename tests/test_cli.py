@@ -223,6 +223,14 @@ class TestInputSyntax:
          "error: --prec2 must be at most 256\n"),
         (["ell", "1 + 2 a", "--precA", "257"], 2,
          "error: --precA must be at most 256\n"),
+        # so are terms of degree past 256 in a, d and d' together, before
+        # they are built; a term of degree 256 is accepted
+        (["norm", "a^257"], 2, "error: 'a^257' has a term of degree above "
+         "256 in a, d and d'\n"),
+        (["ell", "1 + a^257"], 2, None),
+        (["norm", "a^128 d^127 d'^2"], 2, None),
+        (["norm", "a^99999999"], 2, None),
+        (["norm", "a^256 - a^128 a^128"], 0, ["norm", "0"]),
     ]
 
     @pytest.mark.parametrize("argv, code, expect", CASES,

@@ -98,6 +98,8 @@ CASES = [
      '{"rank": "1", "Q0": [[[1]]], "Q1": [[[]]], "Q2": [[[]]]}'],
     ["ell", "1 + 2 a", "--prec2", "257"],
     ["ell", "1 + 2 a", "--precA", "257", "--json"],
+    ["norm", "a^257"],
+    ["ell", "1 + a^257", "--json"],
 ]
 
 

@@ -3,8 +3,12 @@
 The reduced-complex homology is validated two ways: frozen expectations,
 and a from-scratch sympy oracle in this file that rebuilds the matrices
 from the commutation recursions and computes homology by the direct-sum
-shortcut (cokernel of the incoming map splits off the free part), which
-shares no code or method with the package's transform-tracking route.
+shortcut (cokernel of the incoming map splits off the free part).  The
+package's `linalg.homology_triple` reads homology by the same method, from
+invariant factors alone, but the oracle shares none of its code: matrices,
+Smith forms and ring arithmetic are all sympy's.  The transform method,
+which moves the incoming map into the kernel, is checked against the
+package in `tests/test_linalg.py`.
 """
 
 import random

@@ -11,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import GF, QQ, Matrix as SMatrix
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from powerops.poly import Poly, A
 from powerops.linalg import (Matrix, ZZ, QA, F2A, ring_by_name, mat_mul,
@@ -78,7 +78,7 @@ class TestSmithForm:
         for _ in range(25):
             m, n = rng.randint(1, 5), rng.randint(1, 5)
             mat = rand_int_matrix(rng, m, n)
-            snf, _, _ = smith_normal_form(ZZ, mat)
+            snf, _ = smith_normal_form(ZZ, mat)
             assert diagonal_invariants(ZZ, snf) == sympy_invariants(ZZ, mat)
 
     def test_rational_poly_matrices_match_sympy(self):
@@ -86,7 +86,7 @@ class TestSmithForm:
         for _ in range(12):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             mat = rand_poly_matrix(rng, QA, m, n)
-            snf, _, _ = smith_normal_form(QA, mat)
+            snf, _ = smith_normal_form(QA, mat)
             assert diagonal_invariants(QA, snf) == sympy_invariants(QA, mat)
 
     def test_f2_poly_matrices_match_sympy(self):
@@ -94,7 +94,7 @@ class TestSmithForm:
         for _ in range(12):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             mat = rand_poly_matrix(rng, F2A, m, n)
-            snf, _, _ = smith_normal_form(F2A, mat)
+            snf, _ = smith_normal_form(F2A, mat)
             assert diagonal_invariants(F2A, snf) == sympy_invariants(F2A, mat)
 
     def test_divisibility_chain(self):
@@ -103,26 +103,28 @@ class TestSmithForm:
             for _ in range(10):
                 mat = (rand_int_matrix(rng, 4, 4, -8, 8) if ring is ZZ
                        else rand_poly_matrix(rng, ring, 3, 3))
-                snf, _, _ = smith_normal_form(ring, mat)
+                snf, _ = smith_normal_form(ring, mat)
                 divs = diagonal_invariants(ring, snf)
                 for x, y in zip(divs, divs[1:]):
                     _, rem = ring.divmod_pair(y, x)
                     assert ring.is_zero(rem)
 
-    def test_transforms_are_inverse(self):
+    def test_tracked_transform_is_unimodular(self):
         rng = random.Random(11)
         for ring in (ZZ, QA):
             mat = (rand_int_matrix(rng, 4, 6) if ring is ZZ
                    else rand_poly_matrix(rng, ring, 3, 5))
-            _, v, vinv = smith_normal_form(ring, mat, track=True)
-            assert mat_mul(ring, v, vinv) == Matrix.identity(mat.n, ring)
-            assert mat_mul(ring, vinv, v) == Matrix.identity(mat.n, ring)
+            _, v = smith_normal_form(ring, mat, track=True)
+            snf, untracked = smith_normal_form(ring, v)
+            divs = diagonal_invariants(ring, snf)
+            assert untracked is None
+            assert len(divs) == mat.n and all(map(ring.is_unit, divs))
 
     def test_canonical_pivots(self):
-        snf, _, _ = smith_normal_form(ZZ, Matrix(2, 2, [[-3, 0], [0, -5]]))
+        snf, _ = smith_normal_form(ZZ, Matrix(2, 2, [[-3, 0], [0, -5]]))
         assert diagonal_invariants(ZZ, snf) == [1, 15]
         mat = Matrix(1, 1, [[QA.coerce(2 * A + 4)]])
-        snf, _, _ = smith_normal_form(QA, mat)
+        snf, _ = smith_normal_form(QA, mat)
         assert diagonal_invariants(QA, snf) == [(Fraction(2), Fraction(1))]
 
 
@@ -134,7 +136,7 @@ class TestKernel:
                 mat = (rand_int_matrix(rng, 3, 5) if ring is ZZ
                        else rand_poly_matrix(rng, ring, 3, 5, deg=1))
                 kb = kernel_basis(ring, mat)
-                snf, _, _ = smith_normal_form(ring, mat)
+                snf, _ = smith_normal_form(ring, mat)
                 assert len(kb) == mat.n - len(diagonal_invariants(ring, snf))
                 for vec in kb:
                     col = Matrix(mat.n, 1, [[x] for x in vec])
@@ -334,6 +336,72 @@ class TestHomologyTriple:
                 homology(ring, _empty(0, n0), d1), homology(ring, d1, d2),
                 homology(ring, d2, _empty(n2, 0)))
 
+    def test_matches_transform_method(self):
+        # the package reads h1 from the invariant factors of d2 alone; the
+        # oracle moves d2 into ker d1 through sympy's column transform
+        rng = random.Random(42)
+        torsion = 0
+        for _ in range(60):
+            d1, d2 = _composable_int_pair(rng)
+            expect = transform_homology(d1, d2)
+            d1, d2 = (Matrix(d.rows, d.cols, [[int(x) for x in row]
+                                               for row in d.tolist()])
+                      for d in (d1, d2))
+            assert homology_triple(ZZ, d1, d2) == expect
+            torsion += bool(expect[1][1])
+        assert torsion >= 10
+
+
+def _unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1: elementary row
+    operations applied to the identity."""
+    u = SMatrix.eye(n)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        u[i, :] += rng.choice([-2, -1, 1, 2]) * u[j, :]
+        if rng.random() < 0.3:
+            u[i, :] = -u[i, :]
+    return u
+
+
+def _composable_int_pair(rng):
+    """sympy d1 (n0 x n1) and d2 (n1 x n2) with d1 d2 = 0: d1 = a [c | 0] w
+    and d2 = w^-1 [0 ; b] e for unimodular a, w, e, with the rows of b
+    scaled by 1, 2 or 3 so that h1 usually has torsion."""
+    n0, n2 = rng.randint(0, 4), rng.randint(0, 4)
+    r, k = rng.randint(0, 3), rng.randint(0, 4)
+    scale = [0] * r + [rng.choice([1, 2, 3]) for _ in range(k)]
+    c = SMatrix(n0, r + k, lambda i, j: rng.randint(-3, 3) if j < r else 0)
+    b = SMatrix(r + k, n2, lambda i, j: scale[i] * rng.randint(-2, 2))
+    w = _unimodular(rng, r + k)
+    return (_unimodular(rng, n0) * c * w,
+            w.inv() * b * _unimodular(rng, n2))
+
+
+def _sympy_divisors(mat):
+    """Nonzero invariant factors of a sympy integer matrix, nonnegative."""
+    if not (mat.rows and mat.cols):
+        return []
+    return [abs(int(d)) for d in invariant_factors(mat, domain=sympy.ZZ)
+            if d]
+
+
+def transform_homology(d1, d2):
+    """(h0, h1, h2) by the transform method, all in sympy: ker d1 is spanned
+    by the columns of V past rank d1, where U d1 V is d1's Smith form, so
+    h1 is the cokernel of the rows of V^-1 d2 past rank d1."""
+    divs1 = _sympy_divisors(d1)
+    r1 = len(divs1)
+    v = (smith_normal_decomp(d1, domain=sympy.ZZ)[2] if d1.rows and d1.cols
+         else SMatrix.eye(d1.cols))
+    w = v.inv() * d2
+    assert w[:r1, :].is_zero_matrix
+    divs2 = _sympy_divisors(w[r1:, :])
+    r2 = len(divs2)
+    return ((d1.rows - r1, [d for d in divs1 if d != 1]),
+            (d1.cols - r1 - r2, [d for d in divs2 if d != 1]),
+            (d2.cols - r2, []))
+
 
 def _poly(*coeffs):
     return Poly(list(coeffs))
@@ -387,7 +455,7 @@ class TestUnitPivotElimination:
         for ring in (QA, F2A):
             coerced = Matrix(mat.m, mat.n, [[ring.coerce(x) for x in row]
                                             for row in mat.rows])
-            snf, _, _ = smith_normal_form(ring, coerced)
+            snf, _ = smith_normal_form(ring, coerced)
             divs = diagonal_invariants(ring, snf)
             assert rank <= len(divs)
             if complete:
