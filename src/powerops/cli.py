@@ -57,22 +57,37 @@ def _read(fn, arg, prefix="", errors=ValueError):
         raise UsageError("%s%s" % (prefix, exc))
 
 
+def _parse(fn, text: str, prefix: str, degree: bool = False):
+    """_read(fn, text, prefix) for every expression argument, once a scan
+    that builds nothing has refused any term whose integer factors n^k
+    pass `_BITS_LIMIT` bits (k times the bits of n), or, with degree set,
+    whose exponents of a, d and d' pass `_DEGREE_LIMIT`."""
+    for _, factors in _read(summands, text, prefix):
+        bits = 0
+        for tok, k in factors:
+            if tok.isdigit():
+                bits += k * int(tok).bit_length()
+                if bits > _BITS_LIMIT:
+                    raise UsageError(
+                        "integer factor %s takes a term of %r past %d bits "
+                        "(n^k counts k times the bits of n)"
+                        % (tok if k == 1 else "%s^%d" % (tok, k), text,
+                           _BITS_LIMIT))
+        if degree and sum(k for tok, k in factors
+                          if tok in _TOWER_ATOMS) > _DEGREE_LIMIT:
+            raise UsageError("%r has a term of degree above %d in a, d and "
+                             "d'" % (text, _DEGREE_LIMIT))
+    return _read(fn, text, prefix)
+
+
 def _operation(text: str) -> Operation:
-    return _read(normal_form, text,
-                 "cannot parse operation expression %r: " % text)
+    return _parse(normal_form, text,
+                  "cannot parse operation expression %r: " % text)
 
 
 def _base_ring_elem(text: str) -> Poly:
-    """Parse an expression that must lie in the base ring Z[a].
-
-    Each summand's degree in a, d and d' is checked before anything is
-    built, so `a^99999999` is refused without being computed.
-    """
-    for _, factors in _read(summands, text, "cannot parse %r: " % text):
-        if sum(k for tok, k in factors if tok in _TOWER_ATOMS) > _DEGREE_LIMIT:
-            raise UsageError("%r has a term of degree above %d in a, d and "
-                             "d'" % (text, _DEGREE_LIMIT))
-    elem = _read(parse_tower_expr, text, "cannot parse %r: " % text)
+    """Parse an expression that must lie in the base ring Z[a]."""
+    elem = _parse(parse_tower_expr, text, "cannot parse %r: " % text, True)
     const = elem.c[0].c[0]
     if not const.is_in_R():
         raise UsageError("%r does not lie in Z[a]: denominators remain" % text)
@@ -136,6 +151,8 @@ _ORDER_LIMIT = 64
 # --precA 256 the logarithm of 1 + a^256 takes 4 s.  Dense inputs of
 # degree 256 take 5 s (norm) and 14 s (logarithm).
 _DEGREE_LIMIT = 256
+# At 2^19 bits in a term, nf takes 1 s and mul and norm 3 s; at 2^20, 12 s.
+_BITS_LIMIT = 1 << 19
 # The logarithm takes seconds at --prec2 256 --precA 256, and its cost grows
 # with both: 17 s at 512 and 256, 21 s at 256 and 512.
 _PREC2_LIMIT = 256
@@ -198,7 +215,7 @@ def _cmd_tensor(args):
 def _cmd_theta(args):
     ring = AmplifiedRing(theta_depth=3, word_depth=4)
     # "t^3 x" parses, but its theta leaves the window
-    value = str(_read(ring.theta, _read(ring.parse, args.expr),
+    value = str(_read(ring.theta, _parse(ring.parse, args.expr, ""),
                       errors=WindowOverflowError))
     return 0, {"input": args.expr, "theta": value}, value
 
@@ -321,8 +338,21 @@ def _cmd_verify_all(args):
 
 # --- parser -----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with the alternatives of an invalid choice quoted as
+    Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0 quote them, so that usage
+    errors stay byte-identical on later releases that print them bare,
+    such as 3.13.13."""
+
+    def error(self, message):
+        head, sep, rest = message.rpartition("(choose from ")
+        if "invalid choice" in head and "'" not in rest:
+            rest = ", ".join(map(repr, rest[:-1].split(", "))) + ")"
+        super().error(head + sep + rest)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powerops",
         description="Exact computations in the algebra of power operations.")
     common = argparse.ArgumentParser(add_help=False)

@@ -24,14 +24,13 @@ coefficient and letters, which the straightening engine accumulates on its
 packed Z[a] (`opalgebra._straighten_sums`) and unpacks once per nonzero
 entry; the matrices themselves are dense `Matrix` objects of `Poly`.
 
-Homology is certified over Z[a] itself where it can be: once d1 d2 = 0 is
-checked exactly, a sparse elimination on constant +-1 pivots
-(`linalg.unit_pivot_elimination`) that clears both maps proves every
-position free of the rank it reads off, over every one of those rings at
-once.  Every cap through degree 7 of R, omega, omega^2 and the two-sphere
-clears this way.  Where a map does not clear (the Tor complex of omega
-keeps a 2), the Smith forms over the chosen ring decide and give the
-divisors.
+Homology takes one route.  Once d1 d2 = 0 is checked exactly, each map is
+eliminated over Z[a] itself on constant +-1 pivots
+(`linalg.unit_pivot_elimination`), which stay units over every one of
+those rings, and the Smith form over the chosen ring runs only on the
+remainder the elimination returns.  Every cap through degree 7 of R,
+omega, omega^2 and the two-sphere leaves no remainder, so no Smith form
+runs there; the Tor complex of omega leaves the 1 x 1 remainder [2].
 
 Tensoring with Gamma/I kills every summand of positive Gamma-degree, so the
 reduced complex 0 -> K2 (.) M -> K1 (.) M -> M -> 0 that computes
@@ -47,8 +46,8 @@ from .opalgebra import (Operation, RELATIONS, basis_of_degree, push_poly,
 from .opmodules import (ModulePresentation, omega_power, act,
                         check_well_defined)
 from .linalg import (Matrix, ZZ, QA, F2A, ring_by_name, smith_normal_form,
-                     diagonal_invariants, kernel_basis, homology_triple,
-                     mat_mul, unit_pivot_elimination)
+                     diagonal_invariants, kernel_basis, mat_mul,
+                     unit_pivot_elimination)
 
 __all__ = ["RELATIONS", "k1_right_a_matrix", "TruncatedComplex",
            "build_complex", "acyclicity_check", "tor_reduced",
@@ -221,17 +220,22 @@ def _homology_triple(ring, d1: Matrix, d2: Matrix):
     base change of the Z[a] matrices d1 and d2 to ring.  The caller has
     checked that d1 d2 = 0 (`_require_complex`).
 
-    When both maps clear by unit-pivot elimination over Z[a], each is
-    unimodularly equivalent to diag(1, ..., 1, 0), so im d2 is a direct
-    summand of P1 lying in ker d1, and all three modules are free of the
-    ranks the elimination reads off, over every ring.  Otherwise the
-    Smith forms over ring decide.
+    Read from each map's rank and invariant factors, as in
+    `linalg.homology_triple`.
     """
-    r1, done1 = unit_pivot_elimination(d1)
-    r2, done2 = unit_pivot_elimination(d2)
-    if done1 and done2:
-        return ((d1.m - r1, []), (d1.n - r1 - r2, []), (d2.n - r2, []))
-    return homology_triple(ring, _coerced(ring, d1), _coerced(ring, d2))
+    r1, divs1 = _rank_and_divisors(ring, d1)
+    r2, divs2 = _rank_and_divisors(ring, d2)
+    return ((d1.m - r1, divs1), (d1.n - r1 - r2, divs2), (d2.n - r2, []))
+
+
+def _rank_and_divisors(ring, mat: Matrix):
+    """(rank, non-unit invariant factors) of the Z[a] matrix mat over ring:
+    its unit pivots over Z[a] stay units, so the Smith form runs only on
+    the remainder they leave, and not at all when none is left."""
+    rank, rest = unit_pivot_elimination(mat)
+    divs = diagonal_invariants(ring, smith_normal_form(
+        ring, _coerced(ring, rest))[0]) if rest.m else []
+    return rank + len(divs), [d for d in divs if not ring.is_unit(d)]
 
 
 def acyclicity_check(module: ModulePresentation, k_max: int,

@@ -5,10 +5,10 @@ transform, and the homology of a pair of composable maps from invariant
 factors alone.  Matrices carry explicit shape so zero-dimensional edge
 cases stay unambiguous.
 
-`unit_pivot_elimination` is a separate, sparse route for matrices over
-Z[a] itself: it pivots on constant +-1 entries only, so when it clears a
-matrix the result holds over every ring Z[a] maps to.  It shares no code
-with the Smith form, which stays the general method and its oracle.
+`unit_pivot_elimination` is a sparse first pass over Z[a] itself: its
+constant +-1 pivots stay units over every ring Z[a] maps to, and it
+returns the remainder it could not clear, for the Smith form (`koszul`).
+It shares no code with the Smith form, the oracle on whole matrices.
 
 Ring strategy objects convert entries from integer polynomials (Poly) and
 supply the arithmetic; `ZZ` additionally refuses nonconstant entries, which
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, _add, _dense_divmod, _dense_mul, _trim
+from .poly import Poly, ZERO, _add, _dense_divmod, _dense_mul, _trim
 
 __all__ = ["Matrix", "IntRing", "FieldPolyRing", "ZZ", "QA", "F2A",
            "ring_by_name", "mat_mul", "unit_pivot_elimination",
@@ -235,15 +235,14 @@ _UNITS = ((1,), (-1,))
 
 def unit_pivot_elimination(mat: Matrix):
     """Sparse elimination of a matrix of Poly entries over Z[a], on
-    constant +-1 pivots only; returns (rank, complete).
+    constant +-1 pivots only; returns (rank, rest).
 
     Rows are dicts of their nonzero entries.  Each step takes the +-1
     entry of least Markowitz cost (row count - 1) * (column count - 1)
-    and clears its column from the other live rows.  complete means no
-    nonzero entry is left: the pivots then form a unit-triangular block,
-    so mat is unimodularly equivalent over Z[a] to diag(1, ..., 1, 0)
-    with rank ones, after any base change.  When it is False, rank only
-    counts the pivots taken.
+    and clears its column from the other live rows.  rest is what is left
+    on the nonzero rows and the pivot-free columns: over Z[a], and so after
+    any base change, mat is unimodularly equivalent to diag(1, ..., 1)
+    (+) rest (+) 0 with rank ones.
     """
     rows = [{j: x for j, x in enumerate(row) if x.coeffs}
             for row in mat.rows]
@@ -252,7 +251,7 @@ def unit_pivot_elimination(mat: Matrix):
         for j in row:
             cols.setdefault(j, set()).add(i)
     live = {i for i, row in enumerate(rows) if row}
-    rank = 0
+    pivots = set()
     while live:
         best = None
         for i in live:
@@ -268,6 +267,7 @@ def unit_pivot_elimination(mat: Matrix):
             break
         _, i, j = best
         live.discard(i)
+        pivots.add(j)
         prow = rows[i]
         p = prow.pop(j).coeffs[0]
         for c in prow:
@@ -289,8 +289,10 @@ def unit_pivot_elimination(mat: Matrix):
                     cols[c].discard(k)
             if not krow:
                 live.discard(k)
-        rank += 1
-    return rank, not live
+    free = [j for j in range(mat.n) if j not in pivots]
+    return len(pivots), Matrix(len(live), len(free),
+                        [[rows[i].get(j, ZERO) for j in free]
+                         for i in sorted(live)])
 
 
 def smith_normal_form(ring, mat: Matrix, track: bool = False):

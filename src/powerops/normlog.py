@@ -12,15 +12,16 @@ q2 d^2 on the rank-3 extension S2 = S[d]/(d^3 - a d - 2); this module
 evaluates TRACE and NORM on each host and proves the two identifications
 symbolically against the same data.  Three hosts are supported: R = Z[a]
 (trace, norm, congruence and linearization checks), S = R[1/D] (exact unit
-arithmetic; the assignment x -> P(x) is a ring homomorphism, which is how
-Q_i reach denominators), and the completed ring of 2-adically truncated
-series (log evaluation at stated precision).
+arithmetic), and the completed ring of 2-adically truncated series (log
+evaluation at stated precision).  On each, Q-values go through `push_poly`
+(`q_triple_R`); P is a ring homomorphism, so on S, P(f / D^n) is the
+Q-triple of f times P(D)^(-n), which is how Q_i reach denominators.
 """
 
 from __future__ import annotations
 
 from .poly import Poly, A, ONE, ZERO, DISC
-from .tower import SFrac, S2Elem, TARGET_A
+from .tower import SFrac, S2Elem
 from .padic import (PadicElem, PrecisionError, log_half, DEFAULT_PREC2,
                     DEFAULT_PRECA)
 from .opalgebra import push_poly
@@ -56,11 +57,9 @@ def q_triple_R(x) -> tuple:
     return tuple(push_poly(i, x)[0] for i in range(3))
 
 
-# x -> Q0 x + Q1 x d + Q2 x d^2 sends a to a' (`TARGET_A`); this is a ring
-# map into the rank-3 extension, so it extends to denominators by inverting
-# P(D).
-_P_D = DISC.eval_in(TARGET_A, S2Elem(1))
-_P_D_INV = _P_D.inv()
+# P is a ring map R -> S2, and P(D)^-1 has only D-power denominators since
+# N D = -D^3, so P extends to S inside S2.
+_P_D_INV = S2Elem(*q_triple_R(DISC)).inv()
 
 
 def p_map(x) -> S2Elem:
@@ -69,7 +68,7 @@ def p_map(x) -> S2Elem:
         x = SFrac(x)
     if not x.is_in_S():
         raise ValueError("P is defined on S; got a half-integral element")
-    out = x.num.eval_in(TARGET_A, S2Elem(1))
+    out = S2Elem(*q_triple_R(x.num))
     if x.dpow:
         out = out * _P_D_INV ** x.dpow
     return out
@@ -77,10 +76,7 @@ def p_map(x) -> S2Elem:
 
 def q_triple_S(x) -> tuple:
     """(Q0 x, Q1 x, Q2 x) for x in S, read off the components of P(x)."""
-    img = p_map(x)
-    if not img.is_in_S2():
-        raise ValueError("P(x) left S2; x is not in the domain")
-    return img.c
+    return p_map(x).c
 
 
 def q_triple_padic(x: PadicElem) -> tuple:
@@ -131,13 +127,6 @@ class NormContext:
             return x
         return Poly(x)
 
-    def _a(self, sample):
-        if isinstance(sample, PadicElem):
-            return PadicElem.from_poly(A, sample.prec2, sample.precA)
-        if isinstance(sample, SFrac):
-            return SFrac(A)
-        return A
-
     def q_triple(self, x):
         x = self.coerce(x)
         if isinstance(x, Poly):
@@ -151,16 +140,14 @@ class NormContext:
         + 4 Q2Q2 x, computed by composing the host's Q-action."""
         q = self.q_triple(x)
         qq = [self.q_triple(v) for v in q]
-        a = self._a(qq[0][0])
-        return (qq[0][0] + a * qq[1][0] - 2 * qq[1][1] + a * a * qq[2][0]
-                - 2 * a * qq[2][1] + 4 * qq[2][2])
+        return (qq[0][0] + A * qq[1][0] - 2 * qq[1][1] + A * A * qq[2][0]
+                - 2 * A * qq[2][1] + 4 * qq[2][2])
 
     # -- the four operators -------------------------------------------------
 
     def _evaluate(self, form: MPoly, x):
         q0, q1, q2 = self.q_triple(x)
-        return form.substitute({"q0": q0, "q1": q1, "q2": q2,
-                                "a": self._a(q0)})
+        return form.substitute({"q0": q0, "q1": q1, "q2": q2, "a": A})
 
     def trace_T(self, x):
         return self._evaluate(TRACE, x)

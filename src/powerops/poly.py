@@ -207,17 +207,6 @@ class Poly:
             out = out * x + c
         return out
 
-    def eval_in(self, x, one):
-        """Horner evaluation at an element `x` of any commutative ring.
-
-        `one` is the ring's multiplicative identity (used to embed the
-        integer coefficients).
-        """
-        out = one * 0
-        for c in reversed(self.coeffs):
-            out = out * x + one * c
-        return out
-
     # -- i/o ---------------------------------------------------------------
 
     def to_json(self):

@@ -231,6 +231,20 @@ class TestInputSyntax:
         (["norm", "a^128 d^127 d'^2"], 2, None),
         (["norm", "a^99999999"], 2, None),
         (["norm", "a^256 - a^128 a^128"], 0, ["norm", "0"]),
+        # and so are terms whose integer factors n^k count more than 2^19
+        # bits, as k times the bits of n; 7 has 3 bits and 4 has 3, and
+        # 2^262144 counts exactly 2^19
+        (["nf", "7^174763 Q1"], 2, "error: integer factor 7^174763 takes a "
+         "term of '7^174763 Q1' past 524288 bits (n^k counts k times the "
+         "bits of n)\n"),
+        (["mul", "Q1", "2^262144 1 Q2"], 2, "error: integer factor 1 takes "
+         "a term of '2^262144 1 Q2' past 524288 bits (n^k counts k times "
+         "the bits of n)\n"),
+        (["act", "7^174763 Q1", "--module", "omega"], 2, None),
+        (["theta", "x - 7^174763 a x"], 2, None),
+        (["ell", "1 + 2 7^174763"], 2, None),
+        (["norm", "99999999999999999999999999^99999"], 2, None),
+        (["nf", "2^262144 Q1"], 0, ["nf", "4^131072 Q1"]),
     ]
 
     @pytest.mark.parametrize("argv, code, expect", CASES,
@@ -243,6 +257,17 @@ class TestInputSyntax:
             assert expect is None or err == expect
         elif expect is not None:
             assert out == run_cli(capsys, *expect)[1] != ""
+
+    @pytest.mark.parametrize("choices", ["q, f2, z", "'q', 'f2', 'z'"])
+    def test_invalid_choice_quoted_on_every_python(self, capsys, choices):
+        # later Python releases print the alternatives bare
+        from powerops.cli import _build_parser
+        with pytest.raises(SystemExit):
+            _build_parser().error("argument --field: invalid choice: 'r' "
+                                  "(choose from %s)" % choices)
+        assert capsys.readouterr().err.endswith(
+            "error: argument --field: invalid choice: 'r' "
+            "(choose from 'q', 'f2', 'z')\n")
 
 
 class TestInternalErrors:

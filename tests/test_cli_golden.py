@@ -100,6 +100,10 @@ CASES = [
     ["ell", "1 + 2 a", "--precA", "257", "--json"],
     ["norm", "a^257"],
     ["ell", "1 + a^257", "--json"],
+    ["nf", "99999999999999999999999999^99999"],
+    ["nf", "7^174763 Q1"],
+    ["theta", "7^174763 x", "--json"],
+    ["norm", "7^174763"],
 ]
 
 

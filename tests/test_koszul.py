@@ -285,27 +285,32 @@ class TestCertificate:
         cx = build_complex(_CERT_MODULES[name](), 4)
         for cap in range(1, 5):
             _, d1, d2 = cx.caps(cap)
-            # the certificate path is the one taken
-            assert unit_pivot_elimination(d1)[1]
-            assert unit_pivot_elimination(d2)[1]
+            # both maps clear on unit pivots, so no Smith form runs
+            assert unit_pivot_elimination(d1)[1].m == 0
+            assert unit_pivot_elimination(d2)[1].m == 0
             for field in ("q", "f2"):
                 ring = ring_by_name(field)
                 assert koszul._homology_triple(ring, d1, d2) == \
                     _smith_triple(ring, d1, d2)
 
     def test_torsion_goes_through_the_fallback(self, monkeypatch):
+        # d1bar clears; d2bar leaves the 1 x 1 remainder [2], and the Smith
+        # form runs on that alone, once per ring
         d1, d2 = reduced_matrices(omega())
-        assert unit_pivot_elimination(d2) == (1, False)
+        assert unit_pivot_elimination(d1)[1].m == 0
+        assert unit_pivot_elimination(d2) == (1, Matrix(1, 1, [[Poly(2)]]))
         calls = []
-        real = koszul.homology_triple
+        real = koszul.smith_normal_form
 
-        def spy(ring, c1, c2):
-            calls.append(ring.name)
-            return real(ring, c1, c2)
-        monkeypatch.setattr(koszul, "homology_triple", spy)
+        def spy(ring, mat, track=False):
+            calls.append((ring.name, mat.rows))
+            return real(ring, mat, track)
+        monkeypatch.setattr(koszul, "smith_normal_form", spy)
         rep = tor_gamma_mod_I(1)
-        assert calls == ["Z", "Q[a]", "F2[a]"]
+        assert calls == [("Z", [[2]]), ("Q[a]", [[(2,)]]), ("F2[a]", [[()]])]
         assert as_pairs(rep["Z"]) == [(0, []), (0, [2]), (0, [])]
+        assert as_pairs(rep["Q"]) == [(0, []), (0, []), (0, [])]
+        assert as_pairs(rep["F2"]) == [(0, []), (1, []), (1, [])]
 
     def test_non_composing_pair_raises(self, monkeypatch):
         # as in TestReducedComplex: a 1 in row 1 of d2 makes d1 d2 != 0 on

@@ -421,23 +421,28 @@ def za_matrices(draw):
 
 class TestUnitPivotElimination:
     def test_small_cases(self):
-        assert unit_pivot_elimination(_empty(0, 3)) == (0, True)
+        z, one, two = _poly(0), _poly(1), _poly(2)
+        assert unit_pivot_elimination(_empty(0, 3)) == (0, _empty(0, 3))
         assert unit_pivot_elimination(
-            Matrix(2, 3, [[_poly(0)] * 3 for _ in range(2)])) == (0, True)
-        assert unit_pivot_elimination(Matrix(1, 1, [[_poly(2)]])) == \
-            (0, False)
-        assert unit_pivot_elimination(Matrix(1, 1, [[A]])) == (0, False)
+            Matrix(2, 3, [[z] * 3 for _ in range(2)])) == (0, _empty(0, 3))
+        assert unit_pivot_elimination(Matrix(1, 1, [[two]])) == \
+            (0, Matrix(1, 1, [[two]]))
+        assert unit_pivot_elimination(Matrix(1, 1, [[A]])) == \
+            (0, Matrix(1, 1, [[A]]))
         # the second row is a times the first, and clears
         assert unit_pivot_elimination(Matrix(2, 2, [
-            [_poly(1), A], [A, A * A]])) == (1, True)
+            [one, A], [A, A * A]])) == (1, _empty(0, 1))
         assert unit_pivot_elimination(Matrix(2, 2, [
-            [_poly(-1), A], [A, _poly(1) - A * A]])) == (2, True)
-        # the Tor complex of omega: d2bar keeps the 2-torsion entry
+            [_poly(-1), A], [A, one - A * A]])) == (2, _empty(0, 0))
+        # the Tor complex of omega: d1bar clears, d2bar keeps the 2
         assert unit_pivot_elimination(Matrix(1, 3, [
-            [_poly(0), _poly(-1), _poly(0)]])) == (1, True)
+            [z, _poly(-1), z]])) == (1, _empty(0, 2))
         assert unit_pivot_elimination(Matrix(3, 2, [
-            [_poly(0), _poly(1)], [_poly(0), _poly(0)],
-            [_poly(2), _poly(0)]])) == (1, False)
+            [z, one], [z, z], [two, z]])) == (1, Matrix(1, 1, [[two]]))
+        # the pivot on a leaves 2 - a^2 behind, with the zero column kept
+        assert unit_pivot_elimination(Matrix(2, 3, [
+            [one, A, z], [A, two, z]])) == \
+            (1, Matrix(1, 2, [[two - A * A, z]]))
 
     def test_input_unchanged(self):
         mat = Matrix(2, 2, [[_poly(1), A], [A, _poly(3)]])
@@ -448,19 +453,22 @@ class TestUnitPivotElimination:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(za_matrices())
     def test_agrees_with_smith_forms(self, mat):
-        # a complete elimination is a certificate: over Q[a] and F2[a]
-        # alike the Smith form has exactly rank units on its diagonal;
-        # an incomplete one still bounds the rank from below
-        rank, complete = unit_pivot_elimination(mat)
-        for ring in (QA, F2A):
-            coerced = Matrix(mat.m, mat.n, [[ring.coerce(x) for x in row]
-                                            for row in mat.rows])
-            snf, _ = smith_normal_form(ring, coerced)
-            divs = diagonal_invariants(ring, snf)
-            assert rank <= len(divs)
-            if complete:
-                assert len(divs) == rank
-                assert all(ring.is_unit(d) for d in divs)
+        # the pivots are units over every ring, so rank ones followed by
+        # the invariant factors of the remainder are the invariant factors
+        # of the whole matrix, over Q[a] and F2[a], and over Z when every
+        # entry is constant
+        rank, rest = unit_pivot_elimination(mat)
+        assert rest.n == mat.n - rank and rest.m <= mat.m - rank
+        rings = [QA, F2A]
+        if all(x.degree() <= 0 for row in mat.rows for x in row):
+            rings.append(ZZ)
+        for ring in rings:
+            def invariants(m):
+                coerced = Matrix(m.m, m.n, [[ring.coerce(x) for x in row]
+                                            for row in m.rows])
+                return diagonal_invariants(
+                    ring, smith_normal_form(ring, coerced)[0])
+            assert [ring.one] * rank + invariants(rest) == invariants(mat)
 
 
 class TestRingStrategies:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from powerops.poly import Poly, A, ONE, ZERO, DISC
-from powerops.tower import SFrac, S2Elem
+from powerops.tower import SFrac, S2Elem, TARGET_A
 from powerops.padic import PadicElem, PrecisionError
 from powerops.opalgebra import Operation, psi
 from powerops.opmodules import standard_module, act
@@ -108,12 +108,7 @@ class TestSymbolicIdentification:
             for i in range(3):
                 for j in range(3):
                     sym = m[i][j].substitute(vals)
-                    want = rows[i][j]
-                    if vals["a"] != 0:
-                        want = want.num.eval_in(Poly(vals["a"]), 1)
-                    else:
-                        want = want.num.constant_term()
-                    assert sym == want
+                    assert sym == rows[i][j].num.evaluate(vals["a"])
 
 
 class TestTraceAndNorm:
@@ -203,12 +198,23 @@ class TestActionOnLocalizedHost:
             p_map(SFrac(1, 0, 1))
 
     def test_q_values_match_polynomial_host(self):
+        # P sends a to a' = TARGET_A, so P(f) is f(a') by Horner in S2: an
+        # oracle that shares no code with push_poly, where q_triple_S goes
+        def horner(f):
+            out = S2Elem(0)
+            for c in reversed(f.coeffs):
+                out = out * TARGET_A + c
+            return out
+
+        p_d_inv = horner(DISC).inv()
         rng = random.Random(29)
-        for _ in range(15):
-            x = Poly([rng.randint(-5, 5) for _ in range(4)])
-            qr = q_triple_R(x)
-            qs = q_triple_S(SFrac(x))
-            assert all(SFrac(qr[i]) == qs[i] for i in range(3))
+        for n in range(16):
+            x = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))])
+            dpow = n % 4
+            want = horner(x) * p_d_inv ** dpow
+            assert q_triple_S(SFrac(x, dpow)) == want.c
+            if not dpow:
+                assert tuple(map(SFrac, q_triple_R(x))) == want.c
 
     def test_q_values_reach_denominators(self):
         # P(1/D) = P(D)^(-1), so the Q-values of 1/D carry denominator D^2
