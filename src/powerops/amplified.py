@@ -35,6 +35,17 @@ by
     Q1 theta s = Q2 Q1 s - Q0 Q2 s - Q0 s Q1 s - a Q1 s Q2 s - (Q2 s)^2
     Q2 theta s = theta Q1 s + a theta Q2 s - Q1 Q2 s - Q0 s Q2 s.
 
+Values are stored as packed exponent vectors (Monagan and Pearce, CASC
+2007), with a as one more variable: a term n a^k m is one entry {key: n}
+of a dict of ints, whose key holds k and the exponent of each generator
+in a field of 16 bits.  A product of terms is a sum of keys and a product
+of ints; a coefficient becomes a `Poly` only where theta and Q group the
+terms by monomial, and in the decoded view `AmplifiedPoly.terms`.  An
+exponent stays below 2^15: the top bit of each field is a guard that a
+product checks, raising WindowOverflowError, so no exponent ever carries
+into the next field.  The memos of theta m and of the Q-triple of m are
+keyed by the packed m, and peel off its lowest field.
+
 `WitnessModel` is an independent consistency oracle: a torsion-free
 polynomial model on admissible Q-words (Q0 allowed as a letter), built on
 `MPoly` with coefficients in Z[1/2][a], where theta is *defined* as
@@ -45,11 +56,15 @@ product code with the engine.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from .poly import Poly, ZERO, ONE, A, power, format_terms, summands
+from .poly import _trusted as _trusted_poly
 from .tower import SFrac, S_ONE
 from .mpoly import MPoly
 from .opalgebra import (CARTAN, Operation, push_poly, push_through, psi,
-                        basis_of_degree, _merge)
+                        basis_of_degree)
 from .opmodules import standard_module, act
 
 __all__ = ["WindowOverflowError", "AmplifiedRing", "AmplifiedPoly",
@@ -57,31 +72,150 @@ __all__ = ["WindowOverflowError", "AmplifiedRing", "AmplifiedPoly",
 
 
 class WindowOverflowError(ValueError):
-    """A requested theta or Q depth exceeds the ring's generator window."""
+    """A requested theta or Q depth exceeds the ring's generator window, or
+    an exponent passes the top of its packed field."""
 
 
-def _sorted_mono(pairs):
-    return tuple(sorted((g, e) for g, e in pairs if e))
+# --- packed terms (see the module docstring) -------------------------------
+#
+# Field 0 of a key holds the exponent of a, and field i >= 1 that of the
+# generator _GENS[i].  A generator gets its field the first time any ring
+# uses it, so equal values of different rings are equal dicts.
+
+_WIDTH = 16
+_TOP = 1 << (_WIDTH - 1)
+_MASK = (1 << _WIDTH) - 1  # field 0, the exponent of a
+_GENS = [None]  # the generator of each field
+_UNITS = {}  # generator -> the key of its first power
+_guards = _TOP  # the guard bits of every field given out so far
 
 
-def _mono_mul(m1, m2):
-    """Product of two monomials."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    merged = dict(m1)
-    for g, e in m2:
-        merged[g] = merged.get(g, 0) + e
-    return tuple(sorted(merged.items()))
+def _unit(g):
+    """The key of the generator g = (j, word) to the first power."""
+    global _guards
+    unit = _UNITS.get(g)
+    if unit is None:
+        field = len(_GENS)
+        _GENS.append(g)
+        unit = _UNITS[g] = 1 << (field * _WIDTH)
+        _guards |= unit << (_WIDTH - 1)
+    return unit
 
 
-def _trusted(ring, terms):
-    """An AmplifiedPoly on terms, which must map monomials to nonzero Poly
-    coefficients; it is taken over, not copied."""
+def _overflow():
+    return WindowOverflowError("exponent above %d in a monomial" % (_TOP - 1))
+
+
+def _key(mono):
+    """The key of a monomial given as ((j, word), exponent) pairs."""
+    key = 0
+    for g, e in mono:
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e >= _TOP:
+            raise _overflow()
+        key += e * _unit(g)
+    if key & _guards:  # a generator listed twice
+        raise _overflow()
+    return key
+
+
+def _mono(key):
+    """The sorted ((j, word), exponent) pairs of key's generator fields."""
+    out, field = [], 1
+    key >>= _WIDTH
+    while key:
+        if key & _MASK:
+            out.append((_GENS[field], key & _MASK))
+        key >>= _WIDTH
+        field += 1
+    out.sort()
+    return tuple(out)
+
+
+def _peel(m):
+    """(g, key of g) for the generator of the lowest nonzero field of m."""
+    field = ((m & -m).bit_length() - 1) // _WIDTH
+    return _GENS[field], 1 << (field * _WIDTH)
+
+
+def _packed(c, m=0):
+    """The terms of c m, for c in Z[a] (a Poly or an int) and an a-free
+    key m."""
+    coeffs = c.coeffs if isinstance(c, Poly) else (c,)
+    if len(coeffs) > _TOP:
+        raise _overflow()
+    return {m + k: n for k, n in enumerate(coeffs) if n}
+
+
+def _poly(row):
+    """The Poly with the coefficients {k: n} of a^k."""
+    coeffs = [0] * (max(row, default=-1) + 1)
+    for k, n in row.items():
+        coeffs[k] = n
+    return _trusted_poly(tuple(coeffs))
+
+
+def _grouped(terms):
+    """{a-free key m: c}, the terms grouped by monomial, c in Z[a]."""
+    rows = {}
+    for key, n in terms.items():
+        m = key & ~_MASK
+        row = rows.get(m)
+        if row is None:
+            row = rows[m] = {}
+        row[key & _MASK] = n
+    return {m: _poly(row) for m, row in rows.items()}
+
+
+def _products(pairs):
+    """The sum of x y over the pairs (x, y) of packed values."""
+    out = {}
+    get = out.get
+    for x, y in pairs:
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+    if out and reduce(or_, out) & _guards:
+        raise _overflow()
+    if 0 in out.values():
+        return {m: c for m, c in out.items() if c}
+    return out
+
+
+def _sum(*parts):
+    """The sum of f x over the pairs (f, x), f a nonzero int."""
+    out = {}
+    for f, x in parts:
+        get = out.get
+        for m, c in x.items():
+            c = get(m, 0) + f * c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
+
+
+_A = {1: 1}
+_Q_ONE = ({0: 1}, {}, {})
+#: `CARTAN` with packed coefficients.
+_CARTAN = tuple(tuple((_packed(c), l, m) for c, l, m in rule)
+                for rule in CARTAN)
+
+
+def _cartan(c, d):
+    """(Q0, Q1, Q2) of a product from those of its factors."""
+    return tuple(_products([(_products([(coeff, c[l])]), d[m])
+                            for coeff, l, m in rule]) for rule in _CARTAN)
+
+
+def _wrap(ring, terms):
+    """An AmplifiedPoly on packed terms, which it takes over."""
     p = object.__new__(AmplifiedPoly)
     p.ring = ring
-    p.terms = terms
+    p._terms = terms
     return p
 
 
@@ -110,91 +244,74 @@ def _theta_scalar(c: Poly) -> Poly:
 
 
 class AmplifiedPoly:
-    """Polynomial over R in window generators; terms map monomial -> Poly.
+    """Polynomial over R in window generators.
 
-    A monomial is a sorted tuple of ((j, word), exponent) pairs where
-    (j, word) names the generator theta^j Q_word x.
+    `terms` maps each monomial, a sorted tuple of ((j, word), exponent)
+    pairs where (j, word) names the generator theta^j Q_word x, to its
+    nonzero coefficient in R, as the constructor takes them.  It is a copy
+    decoded on each access from the packed store `_terms`.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring, terms=None):
         self.ring = ring
-        clean = {}
-        if terms:
-            for mono, c in terms.items():
-                if not isinstance(c, Poly):
-                    c = Poly(c)
-                if c.coeffs:
-                    clean[mono] = c
-        self.terms = clean
+        self._terms = _sum(*((1, _packed(Poly(c), _key(mono)))
+                             for mono, c in (terms or {}).items()))
+
+    @property
+    def terms(self):
+        return {_mono(m): c for m, c in _grouped(self._terms).items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other):
-        if isinstance(other, AmplifiedPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Poly)):
-            return self == self.ring.const(other)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other
 
     def __hash__(self):
+        terms = self._terms
         # A constant equals its coefficient, so it hashes as that.
-        if not self.terms or (len(self.terms) == 1 and () in self.terms):
-            return hash(self.terms.get((), 0))
-        return hash(frozenset(self.terms.items()))
+        if max(terms, default=0) <= _MASK:
+            return hash(_poly(terms))
+        return hash(frozenset(terms.items()))
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, (int, Poly)):
-            return self.ring.const(other)
+            return _packed(other)
         if isinstance(other, AmplifiedPoly):
-            return other
+            return other._terms
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.terms:
-            return self
-        return _trusted(self.ring, _merge(dict(self.terms), other.terms))
+        return _wrap(self.ring, _sum((1, self._terms), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _trusted(self.ring, {m: -c for m, c in self.terms.items()})
+        return _wrap(self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _wrap(self.ring, _sum((1, self._terms), (-1, other)))
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Poly)):
-            if not other:
-                return self.ring.zero()
-            return _trusted(self.ring,
-                            {m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, AmplifiedPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                cur = out.get(mono)
-                if cur is not None:
-                    c = cur + c
-                    if not c.coeffs:
-                        del out[mono]
-                        continue
-                out[mono] = c
-        return _trusted(self.ring, out)
+        return _wrap(self.ring, _products([(self._terms, other)]))
 
     __rmul__ = __mul__
 
@@ -204,10 +321,10 @@ class AmplifiedPoly:
         return power(self, n, self.ring.one())
 
     def coefficient(self, mono):
-        return self.terms.get(_sorted_mono(mono), ZERO)
+        return _grouped(self._terms).get(_key(mono), ZERO)
 
     def all_coefficients_divisible_by(self, n: int) -> bool:
-        return all(c.divisible_by_int(n) for c in self.terms.values())
+        return all(c % n == 0 for c in self._terms.values())
 
     def sorted_terms(self):
         def key(item):
@@ -241,7 +358,11 @@ class AmplifiedPoly:
 
 
 class AmplifiedRing:
-    """The free amplified ring on one generator, truncated to a window."""
+    """The free amplified ring on one generator, truncated to a window.
+
+    Its memos map a-free monomial keys (and, for Q of a generator, the
+    generator) to packed values, which callers never mutate.
+    """
 
     def __init__(self, theta_depth: int = 2, word_depth: int = 3):
         self.theta_depth = theta_depth
@@ -262,128 +383,118 @@ class AmplifiedRing:
             raise ValueError("word letters must be 1 or 2")
         return (j, tuple(word))
 
+    def _gen_key(self, j, word):
+        return _unit(self._check_gen(j, word))
+
     def gen(self, j: int = 0, word=()) -> AmplifiedPoly:
-        g = self._check_gen(j, word)
-        return AmplifiedPoly(self, {((g, 1),): ONE})
+        return _wrap(self, {self._gen_key(j, word): 1})
 
     def x(self) -> AmplifiedPoly:
         return self.gen(0, ())
 
     def const(self, p) -> AmplifiedPoly:
-        p = Poly(p)
-        return AmplifiedPoly(self, {(): p} if not p.is_zero() else {})
+        return _wrap(self, _packed(Poly(p)))
 
     def zero(self) -> AmplifiedPoly:
-        return AmplifiedPoly(self, {})
+        return _wrap(self, {})
 
     def one(self) -> AmplifiedPoly:
         return self.const(1)
 
     # -- the Q-operations --------------------------------------------------
 
-    def _cartan(self, c, d):
-        """(Q0, Q1, Q2) of a product from those of its factors (`CARTAN`)."""
-        out = []
-        for rule in CARTAN:
-            terms = {}
-            for coeff, l, m in rule:
-                _merge(terms, (c[l] * d[m]).terms,
-                       None if coeff == ONE else coeff)
-            out.append(_trusted(self, terms))
-        return tuple(out)
-
     def _q_gen(self, g):
         cached = self._q_gen_memo.get(g)
         if cached is not None:
             return cached
         j, word = g
-        y = self.gen(j, word)
-        q0 = y * y + 2 * self.gen(j + 1, word)
+        q0 = {2 * self._gen_key(j, word): 1, self._gen_key(j + 1, word): 2}
         if j == 0:
-            q1 = self.gen(0, (1,) + word)
-            q2 = self.gen(0, (2,) + word)
+            q1 = {self._gen_key(0, (1,) + word): 1}
+            q2 = {self._gen_key(0, (2,) + word): 1}
         else:
             h0, h1, h2 = self._q_gen((j - 1, word))
-            a = self.const(A)
-            q1 = (self.q(2, h1) - self.q(0, h2) - h0 * h1 - a * h1 * h2
-                  - h2 * h2)
-            q2 = (self.theta(h1) + a * self.theta(h2) - self.q(1, h2)
-                  - h0 * h2)
+            q1 = _sum((1, self._q(2, h1)), (-1, self._q(0, h2)),
+                      (-1, _products([(h0, h1), (_products([(_A, h1)]), h2),
+                                      (h2, h2)])))
+            q2 = _sum((1, self._theta(h1)),
+                      (1, _products([(_A, self._theta(h2))])),
+                      (-1, self._q(1, h2)), (-1, _products([(h0, h2)])))
         result = (q0, q1, q2)
         self._q_gen_memo[g] = result
         return result
 
-    def _q_mono(self, mono):
-        if not mono:
-            return (self.one(), self.zero(), self.zero())
-        cached = self._q_mono_memo.get(mono)
+    def _q_mono(self, m):
+        """(Q0, Q1, Q2) of the a-free key m."""
+        if not m:
+            return _Q_ONE
+        cached = self._q_mono_memo.get(m)
         if cached is not None:
             return cached
-        (g, e) = mono[0]
-        if e > 1:
-            rest = ((g, e - 1),) + mono[1:]
-        else:
-            rest = mono[1:]
-        result = self._cartan(self._q_gen(g), self._q_mono(rest))
-        self._q_mono_memo[mono] = result
+        g, unit = _peel(m)
+        result = _cartan(self._q_gen(g), self._q_mono(m - unit))
+        self._q_mono_memo[m] = result
         return result
+
+    def _q(self, i, terms):
+        pairs = []
+        for m, c in _grouped(terms).items():
+            trip = self._q_mono(m)
+            for l, pushed in enumerate(push_poly(i, c)):
+                if pushed.coeffs:
+                    pairs.append((_packed(pushed), trip[l]))
+        return _products(pairs)
 
     def q(self, i: int, p: AmplifiedPoly) -> AmplifiedPoly:
         """Q_i applied to a window polynomial."""
-        out = {}
-        for mono, c in p.terms.items():
-            trip = self._q_mono(mono)
-            for l, pushed in enumerate(push_poly(i, c)):
-                if pushed.coeffs:
-                    _merge(out, trip[l].terms, pushed)
-        return _trusted(self, out)
+        return _wrap(self, self._q(i, p._terms))
 
     # -- theta -------------------------------------------------------------
 
-    def _theta_gen(self, g):
-        return self.gen(g[0] + 1, g[1])
-
-    def _theta_mono(self, mono):
-        if not mono:
-            return self.zero()
-        cached = self._theta_mono_memo.get(mono)
+    def _theta_mono(self, m):
+        """theta of the a-free key m."""
+        if not m:
+            return {}
+        cached = self._theta_mono_memo.get(m)
         if cached is not None:
             return cached
-        (g, e) = mono[0]
-        if e == 1 and len(mono) == 1:
-            result = self._theta_gen(g)
+        g, unit = _peel(m)
+        theta_g = self._gen_key(g[0] + 1, g[1])
+        rest = m - unit
+        if not rest:
+            result = {theta_g: 1}
         else:
-            rest = ((g, e - 1),) + mono[1:] if e > 1 else mono[1:]
-            xg = AmplifiedPoly(self, {((g, 1),): ONE})
-            yg = AmplifiedPoly(self, {rest: ONE})
-            tx = self._theta_gen(g)
-            ty = self._theta_mono(rest)
-            qx = self._q_gen(g)
-            qy = self._q_mono(rest)
-            result = (xg * xg * ty + yg * yg * tx + 2 * tx * ty
-                      + qx[1] * qy[2] + qx[2] * qy[1])
-        self._theta_mono_memo[mono] = result
+            # theta(g y) = g^2 theta y + y^2 theta g + 2 theta g theta y
+            #              + Q1 g Q2 y + Q2 g Q1 y
+            theta_y = self._theta_mono(rest)
+            q_g, q_y = self._q_gen(g), self._q_mono(rest)
+            result = _products([({2 * unit: 1, theta_g: 2}, theta_y),
+                                ({2 * rest + theta_g: 1}, {0: 1}),
+                                (q_g[1], q_y[2]), (q_g[2], q_y[1])])
+        self._theta_mono_memo[m] = result
         return result
 
-    def theta(self, p: AmplifiedPoly) -> AmplifiedPoly:
-        """theta applied to a window polynomial, one pass per term."""
-        out, done = {}, {}  # theta of the terms so far, and their sum
-        for mono, c in p.sorted_terms():
+    def _theta(self, terms):
+        pairs, seen = [], []  # the products to sum, and the terms so far
+        for m, c in _grouped(terms).items():
             # theta(c m) = c^2 theta m + theta(c) m^2 + 2 theta(c) theta m
             #              + Q1(c) Q2 m + Q2(c) Q1 m
-            theta_m = self._theta_mono(mono).terms
+            theta_m = self._theta_mono(m)
             theta_c = _theta_scalar(c)
-            _merge(out, theta_m, c * c + 2 * theta_c)
-            if theta_c:
-                _merge(out, {_mono_mul(mono, mono): theta_c})
+            pairs += [(_packed(c * c + 2 * theta_c), theta_m),
+                      (_packed(theta_c, m), {m: 1})]
             if c.degree() > 0:
-                q_m = self._q_mono(mono)
-                _merge(out, q_m[2].terms, push_poly(1, c)[0])
-                _merge(out, q_m[1].terms, push_poly(2, c)[0])
-            # theta(S + u) = theta S + theta u - S u
-            _merge(out, {_mono_mul(m, mono): v for m, v in done.items()}, -c)
-            done[mono] = c
-        return _trusted(self, out)
+                q_m = self._q_mono(m)
+                pairs += [(_packed(push_poly(1, c)[0]), q_m[2]),
+                          (_packed(push_poly(2, c)[0]), q_m[1])]
+            # theta(S + u) = theta S + theta u - S u, S the terms so far
+            pairs += [(s, _packed(-c, m)) for s in seen]
+            seen.append(_packed(c, m))
+        return _products(pairs)
+
+    def theta(self, p: AmplifiedPoly) -> AmplifiedPoly:
+        """theta applied to a window polynomial, one pass per monomial."""
+        return _wrap(self, self._theta(p._terms))
 
     # -- compound operations ----------------------------------------------
 
@@ -420,7 +531,7 @@ class AmplifiedRing:
             return ValueError("expected %s, not %s" % (
                 what, repr(tok) if tok else "the end of the term"))
 
-        terms = {}
+        parts = []
         for coeff, factors in summands(text):
             coeff, gens, rest = Poly(coeff), {}, iter(factors)
             for tok, k in rest:
@@ -448,8 +559,8 @@ class AmplifiedRing:
                         raise expected("')'", tok)
                     k *= e
                 gens[g] = gens.get(g, 0) + k
-            _merge(terms, {_sorted_mono(gens.items()): coeff})
-        return _trusted(self, terms)
+            parts.append((1, _packed(coeff, _key(gens.items()))))
+        return _wrap(self, _sum(*parts))
 
 
 # --- independent torsion-free model ----------------------------------------

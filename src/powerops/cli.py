@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb, prod
 
 from .poly import Poly, summands
 from .opalgebra import Operation, normal_form
@@ -60,8 +61,9 @@ def _read(fn, arg, prefix="", errors=ValueError):
 def _parse(fn, text: str, prefix: str, degree: bool = False):
     """_read(fn, text, prefix) for every expression argument, once a scan
     that builds nothing has refused any term whose integer factors n^k
-    pass `_BITS_LIMIT` bits (k times the bits of n), or, with degree set,
-    whose exponents of a, d and d' pass `_DEGREE_LIMIT`."""
+    pass `_BITS_LIMIT` bits (k times the bits of n), with degree set any
+    term whose exponents of a, d and d' pass `_DEGREE_LIMIT`, and any term
+    with more than `_LETTER_LIMIT` letters a, Q0, Q1 and Q2."""
     for _, factors in _read(summands, text, prefix):
         bits = 0
         for tok, k in factors:
@@ -77,6 +79,9 @@ def _parse(fn, text: str, prefix: str, degree: bool = False):
                           if tok in _TOWER_ATOMS) > _DEGREE_LIMIT:
             raise UsageError("%r has a term of degree above %d in a, d and "
                              "d'" % (text, _DEGREE_LIMIT))
+        if sum(k for tok, k in factors if tok in _LETTERS) > _LETTER_LIMIT:
+            raise UsageError("%r has a term of more than %d letters a, Q0, "
+                             "Q1 and Q2" % (text, _LETTER_LIMIT))
     return _read(fn, text, prefix)
 
 
@@ -100,13 +105,19 @@ def _module_spec(text: str) -> ModulePresentation:
     """R | omega | omega^N, or tensors joined with `x`: "omega x omega^2".
 
     The name is read by the one grammar (`poly.summands`): a single
-    summand whose factors alternate between a module atom and `x`.
+    summand whose factors alternate between a module atom and `x`.  Its
+    size, the number of tensor factors with omega^N counted N times, is
+    at most `_OMEGA_LIMIT`.
     """
     terms = _read(summands, text, "bad module name %r: " % text)
     factors = terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else []
     if len(factors) % 2 == 0 or any(f != ("x", 1) for f in factors[1::2]):
         raise UsageError("bad module name %r (join modules with x, as in "
                          "'omega x R')" % text)
+    if sum(n if name == "omega" else 1
+           for name, n in factors[::2]) > _OMEGA_LIMIT:
+        raise UsageError("module %r has more than %d tensor factors "
+                         "(omega^N counts N)" % (text, _OMEGA_LIMIT))
     mod = None
     for name, n in factors[::2]:
         if name == "omega":
@@ -147,12 +158,24 @@ _KMAX_LIMIT = 7
 # seconds at order 64 and half a minute at 96.
 _K_LIMIT = 256
 _ORDER_LIMIT = 64
+# The work of theta grows with the a-degree times `_theta_size`.  Cold,
+# at a-degree 256, theta "a^256 x^16" (size 969) takes 0.9 s and the
+# dense a^0 x^16 + ... + a^256 x^16 2.3 s; at size 1771 (x^20) they take
+# 1.8 s and 4.6 s, and at size 14 000 theta runs out of 2 GB.
+_THETA_GEN_TERMS = (4, 12, 106)
+_THETA_LIMIT = 1024
 # The norm of a^256 takes a second and of a^400 four; at --prec2 256
 # --precA 256 the logarithm of 1 + a^256 takes 4 s.  Dense inputs of
 # degree 256 take 5 s (norm) and 14 s (logarithm).
 _DEGREE_LIMIT = 256
 # At 2^19 bits in a term, nf takes 1 s and mul and norm 3 s; at 2^20, 12 s.
 _BITS_LIMIT = 1 << 19
+# nf "a^16384 Q1" takes 1 s, but a Q letter on a^k costs about k^3:
+# nf "Q1 a^255" takes 0.3 s, "Q1 a^511" 2 s and "Q1 a^1023" 17 s.
+_LETTERS = ("a", "Q0", "Q1", "Q2")
+_LETTER_LIMIT = 256
+# tensor omega^512 omega^512 takes 2 s and omega^800 omega^800 7 s.
+_OMEGA_LIMIT = 512
 # The logarithm takes seconds at --prec2 256 --precA 256, and its cost grows
 # with both: 17 s at 512 and 256, 21 s at 256 and 512.
 _PREC2_LIMIT = 256
@@ -212,11 +235,26 @@ def _cmd_tensor(args):
     return (0 if ok else 1), payload, "\n".join(lines)
 
 
+def _theta_size(p) -> int:
+    """A bound on the number of monomials of Q0, Q1 and Q2 of the
+    monomials of p, which theta multiplies by the Q-triple of their
+    coefficients: the sum over the monomials of the product over their
+    factors g^e of C(e + s - 1, e), the number of monomials of degree e in
+    the s monomials of the Q-triple of g (s = 4, 12 and 106 for theta^0,
+    theta^1 and theta^2 of any Q_w x)."""
+    return sum(prod(comb(e + _THETA_GEN_TERMS[min(j, 2)] - 1, e)
+                    for (j, _), e in mono) for mono in p.terms)
+
+
 def _cmd_theta(args):
     ring = AmplifiedRing(theta_depth=3, word_depth=4)
+    p = _parse(ring.parse, args.expr, "", True)
+    if _theta_size(p) > _THETA_LIMIT:
+        raise UsageError("%r has size above %d (a bound on the number of "
+                         "monomials of its Q-triple)" % (args.expr,
+                                                         _THETA_LIMIT))
     # "t^3 x" parses, but its theta leaves the window
-    value = str(_read(ring.theta, _parse(ring.parse, args.expr, ""),
-                      errors=WindowOverflowError))
+    value = str(_read(ring.theta, p, errors=WindowOverflowError))
     return 0, {"input": args.expr, "theta": value}, value
 
 

@@ -432,3 +432,108 @@ class TestSerialization:
         p = R.q(0, R.x())
         data = p.to_json()
         assert {"factors", "coeff"} <= set(data["terms"][0])
+
+
+class TestPackedTerms:
+    """The packed store: a term n a^k m is one entry {key: n}, the key
+    holding k and every generator exponent in fields of `_WIDTH` bits."""
+
+    def test_exponent_past_the_field_top_raises(self):
+        from powerops.amplified import _TOP
+        R = AmplifiedRing()
+        x = R.x()
+        top = x ** (_TOP - 1)  # the largest exponent a field holds
+        assert str(top) == "x^%d" % (_TOP - 1)
+        with pytest.raises(WindowOverflowError):
+            top * x
+        half = x ** (_TOP // 2)
+        with pytest.raises(WindowOverflowError):
+            half * half
+        a_top = R.const(Poly.a_power(_TOP - 1))
+        with pytest.raises(WindowOverflowError):
+            a_top * R.const(A)
+        with pytest.raises(WindowOverflowError):
+            R.const(Poly.a_power(_TOP))
+        with pytest.raises(WindowOverflowError):
+            R.parse("x^%d" % _TOP)
+        # a product whose large exponents cancel is fine
+        assert (top - top) * x == 0
+
+    def test_terms_round_trip(self):
+        from powerops.amplified import AmplifiedPoly
+        R = AmplifiedRing(theta_depth=2, word_depth=3)
+        rng = random.Random(1818)
+        samples = [R.zero(), R.const(-A ** 3 + 9), R.theta(R.x() ** 3),
+                   R.q(1, R.theta(R.x())), R.parse("3 a^2 (t Q[1] x)^2 - x")]
+        samples += [rand_window_poly(R, rng) for _ in range(10)]
+        for p in samples:
+            assert AmplifiedPoly(R, p.terms) == p
+            assert all(isinstance(c, Poly) and c for c in p.terms.values())
+            assert all(mono == tuple(sorted(mono)) for mono in p.terms)
+
+    def test_equal_values_of_two_rings_compare_and_hash_equal(self):
+        # generators no other test uses, first used in opposite orders
+        g = (3, (2, 1, 2, 1, 1))
+        h = (2, (1, 1, 2, 2, 2))
+        R1, R2 = AmplifiedRing(3, 5), AmplifiedRing(3, 5)
+        p = R1.gen(*g) + R1.const(A) * R1.gen(*h) ** 2
+        q = R2.gen(*h) ** 2 * R2.const(A) + R2.gen(*g)
+        assert p == q and hash(p) == hash(q) and {p: "v"}[q] == "v"
+        assert str(p) == str(q) and p.terms == q.terms
+        assert (R1.x() * p) ** 2 == (R2.x() * q) ** 2
+
+    def test_ring_laws_near_the_field_top(self):
+        from powerops.amplified import _TOP
+        R = AmplifiedRing(theta_depth=1, word_depth=1)
+        gens = [(j, w) for j in (0, 1) for w in ((), (1,), (2,))]
+        rng = random.Random(4040)
+        prime = (1 << 61) - 1
+        point = {g: rng.randrange(2, prime) for g in gens + ["a"]}
+
+        def value(p):
+            """p at point, modulo the prime: a ring map to Z/prime."""
+            total = 0
+            for mono, c in p.terms.items():
+                v = c.evaluate(point["a"])
+                for g, e in mono:
+                    v *= pow(point[g], e, prime)
+                total += v
+            return total % prime
+
+        def element():
+            # three factors stay below the top: exponents below _TOP / 3
+            total = R.const(rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 3)):
+                term = R.const(Poly([rng.randint(-5, 5) for _ in range(40)]
+                                    + [rng.choice([-1, 1])]))
+                for g in rng.sample(gens, rng.randint(1, 3)):
+                    term = term * R.gen(*g) ** rng.randint(_TOP // 3 - 40,
+                                                           _TOP // 3 - 1)
+                total = total + term
+            return total
+
+        for _ in range(8):
+            p, q, r = element(), element(), element()
+            assert p * q == q * p
+            assert (p * q) * r == p * (q * r)
+            assert p * (q + r) == p * q + p * r
+            assert (p + q) - q == p and p - p == 0
+            assert value(p * q * r) == value(p) * value(q) * value(r) % prime
+            assert value(p - q) == (value(p) - value(q)) % prime
+
+    @pytest.mark.parametrize("g, e, h, f", [
+        ((0, ()), 4, (0, (1,)), 3), ((0, (2,)), 4, (0, (1,)), 2),
+        ((0, (1,)), 3, (0, ()), 2), ((0, ()), 3, (1, ()), 2),
+        ((1, ()), 2, (0, (2,)), 2)])
+    def test_q_and_theta_of_powers_agree_with_witness_model(self, g, e, h,
+                                                             f):
+        # c g^e h^f + n, with generator exponents 2 to 4
+        R = AmplifiedRing(theta_depth=2, word_depth=3)
+        M = WitnessModel(max_degree=6)
+        rng = random.Random(100 * e + f)
+        c = Poly([rng.randint(-3, 3), rng.choice([-1, 1])])
+        p = R.const(c) * R.gen(*g) ** e * R.gen(*h) ** f + rng.randint(-2, 2)
+        image = M.embed(p)
+        for i in range(3):
+            assert M.embed(R.q(i, p)) == M.q(i, image)
+        assert M.embed(R.theta(p)) == M.theta(image)

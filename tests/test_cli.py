@@ -245,6 +245,31 @@ class TestInputSyntax:
         (["ell", "1 + 2 7^174763"], 2, None),
         (["norm", "99999999999999999999999999^99999"], 2, None),
         (["nf", "2^262144 Q1"], 0, ["nf", "4^131072 Q1"]),
+        # theta's argument is bounded in a-degree and in size (a bound on
+        # the monomials of its Q-triple): x^16 has size 969 and (Q[1] x)^5
+        # 56, one past 1024 together
+        (["theta", "x^16 + (Q[1] x)^5"], 2, "error: 'x^16 + (Q[1] x)^5' has "
+         "size above 1024 (a bound on the number of monomials of its "
+         "Q-triple)\n"),
+        (["theta", "t^2 x^5 + a Q[1 2] x^3"], 2, None),
+        (["theta", "a^257 x"], 2, "error: 'a^257 x' has a term of degree "
+         "above 256 in a, d and d'\n"),
+        (["theta", "x^40000"], 2, None),
+        (["theta", "x^8 x^8"], 0, ["theta", "x^16"]),
+        # operation terms hold at most 256 letters a, Q0, Q1 and Q2
+        (["nf", "Q1 a^256"], 2, "error: 'Q1 a^256' has a term of more than "
+         "256 letters a, Q0, Q1 and Q2\n"),
+        (["nf", "a^50000 Q1"], 2, None),
+        (["mul", "Q1", "a^128 Q2 a^128"], 2, None),
+        (["act", "Q0^257"], 2, None),
+        (["nf", "a^255 Q1"], 0, ["nf", "a^200 a^55 Q1"]),
+        # and a module name at most 512 tensor factors, omega^N counting N
+        (["act", "Q1", "--module", "omega^513"], 2, "error: module "
+         "'omega^513' has more than 512 tensor factors (omega^N counts N)\n"),
+        (["tensor", "omega^512 x R", "R"], 2, None),
+        (["act", "Q1", "--module", "omega^8000"], 2, None),
+        (["act", "Q1", "--module", "omega^256 x omega^256"], 0,
+         ["act", "Q1", "--module", "omega^512"]),
     ]
 
     @pytest.mark.parametrize("argv, code, expect", CASES,

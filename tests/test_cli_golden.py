@@ -104,6 +104,9 @@ CASES = [
     ["nf", "7^174763 Q1"],
     ["theta", "7^174763 x", "--json"],
     ["norm", "7^174763"],
+    ["theta", "x^16 + (Q[1] x)^5"],
+    ["nf", "Q1 a^256", "--json"],
+    ["act", "Q1", "--module", "omega^513"],
 ]
 
 

@@ -2,14 +2,15 @@
 
 Straightening keeps a table of packed images per slot width
 (`opalgebra._tables`), and `AmplifiedRing` memoizes Q and theta of
-generators and monomials.  Callers receive the cached dicts themselves, so
-these tests warm the caches up, copy every cached term dict, compute again
-(and with the returned values), and check that every copy still equals
-the dict it was taken from.
+generators and monomials as packed term dicts.  The engines read the
+cached dicts themselves, so these tests warm the caches up, copy every
+cached term dict, compute again (and with values built on the cached
+dicts), and check that every copy still equals the dict it was taken
+from.
 """
 
 from powerops import opalgebra
-from powerops.amplified import AmplifiedRing
+from powerops.amplified import AmplifiedRing, _wrap
 from powerops.koszul import build_complex
 from powerops.opalgebra import normal_form
 from powerops.opmodules import omega
@@ -30,18 +31,18 @@ def work(ring):
 
 
 def memoized(ring):
-    """Every AmplifiedPoly the ring's memos hold."""
-    return [p for memo in (ring._q_gen_memo, ring._q_mono_memo,
-                           ring._theta_mono_memo)
+    """Every packed term dict the ring's memos hold."""
+    return [terms for memo in (ring._q_gen_memo, ring._q_mono_memo,
+                               ring._theta_mono_memo)
             for value in memo.values()
-            for p in (value if isinstance(value, tuple) else (value,))]
+            for terms in (value if isinstance(value, tuple) else (value,))]
 
 
 def cached_term_dicts(ring):
     """(dict, copy) for every term dict the caches hold."""
     held = [(terms, dict(terms)) for table in opalgebra._tables.values()
             for terms, _ in table.values()]
-    return held + [(p.terms, dict(p.terms)) for p in memoized(ring)]
+    return held + [(terms, dict(terms)) for terms in memoized(ring)]
 
 
 def test_caches_are_never_mutated():
@@ -54,8 +55,9 @@ def test_caches_are_never_mutated():
     for u in ops:
         for v in ops:
             u + v, u - v, u * v
-    amps += memoized(ring)
+    amps += [_wrap(ring, terms) for terms in memoized(ring)]
     for u in amps:
+        -u
         for v in amps:
             u + v, u - v, u * v
     for u in amps[:4]:
