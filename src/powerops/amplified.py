@@ -64,7 +64,7 @@ from .poly import _trusted as _trusted_poly
 from .tower import SFrac, S_ONE
 from .mpoly import MPoly
 from .opalgebra import (CARTAN, Operation, push_poly, push_through, psi,
-                        basis_of_degree)
+                        basis_of_degree, _pushed)
 from .opmodules import standard_module, act
 
 __all__ = ["WindowOverflowError", "AmplifiedRing", "AmplifiedPoly",
@@ -485,8 +485,8 @@ class AmplifiedRing:
                       (_packed(theta_c, m), {m: 1})]
             if c.degree() > 0:
                 q_m = self._q_mono(m)
-                pairs += [(_packed(push_poly(1, c)[0]), q_m[2]),
-                          (_packed(push_poly(2, c)[0]), q_m[1])]
+                pairs += [(_packed(_pushed(1, c, 0)), q_m[2]),
+                          (_packed(_pushed(2, c, 0)), q_m[1])]
             # theta(S + u) = theta S + theta u - S u, S the terms so far
             pairs += [(s, _packed(-c, m)) for s in seen]
             seen.append(_packed(c, m))

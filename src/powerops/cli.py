@@ -22,13 +22,14 @@ malformed, so any other exception is a bug and exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from math import comb, prod
 
 from .poly import Poly, summands
-from .opalgebra import Operation, normal_form
+from .opalgebra import Operation, normal_form, COMMUTATION, RELATIONS
 from .opmodules import (ModulePresentation, standard_module, omega_power,
                         tensor, act, check_well_defined)
 from .amplified import AmplifiedRing, WindowOverflowError
@@ -58,12 +59,120 @@ def _read(fn, arg, prefix="", errors=ValueError):
         raise UsageError("%s%s" % (prefix, exc))
 
 
-def _parse(fn, text: str, prefix: str, degree: bool = False):
-    """_read(fn, text, prefix) for every expression argument, once a scan
-    that builds nothing has refused any term whose integer factors n^k
-    pass `_BITS_LIMIT` bits (k times the bits of n), with degree set any
-    term whose exponents of a, d and d' pass `_DEGREE_LIMIT`, and any term
-    with more than `_LETTER_LIMIT` letters a, Q0, Q1 and Q2."""
+class _OverLimit(Exception):
+    """A straightening profile passed `_PUSH_LIMIT`."""
+
+
+def _checked(profile):
+    """profile, with each count n cut to the 2^(q - j) admissible words of
+    its key (j, q), once its size, the sum of n * (d + 1)^2, is within
+    `_PUSH_LIMIT`."""
+    out = {key: (d, min(n, 1 << (key[1] - key[0])))
+           for key, (d, n) in profile.items()}
+    if sum(n * (d + 1) ** 2 for d, n in out.values()) > _PUSH_LIMIT:
+        raise _OverLimit
+    return out
+
+
+def _add(out, profile, shift=0, times=1):
+    """out += profile, its degrees raised by shift and counts times times."""
+    for key, (d, n) in profile.items():
+        e, m = out.get(key, (-1, 0))
+        out[key] = (max(e, d + shift), m + n * times)
+    return out
+
+
+# Row d holds, for each i, the degrees of (c0, c1, c2) in Q_i a^e =
+# c0 Q0 + c1 Q1 + c2 Q2, the largest over e <= d (-1 for none): a profile
+# keeps only the largest degree d of its terms, and Q1 a has no c1 though
+# Q1 has.
+_PUSHED_DEGREES = [((0, -1, -1), (-1, 0, -1), (-1, -1, 0))]
+
+
+def _pushed_degrees(d):
+    rows = _PUSHED_DEGREES
+    while len(rows) <= d:
+        # Q_i a^e = sum_l c_l Q_l a^(e-1), as in `opalgebra.push_through`
+        rows.append(tuple(
+            tuple(max([row[k]] + [row[l] + COMMUTATION[l][k].degree()
+                                  for l in range(3)
+                                  if row[l] >= 0 and COMMUTATION[l][k]])
+                  for k in range(3))
+            for row in rows[-1]))
+    return rows[d]
+
+
+@functools.cache
+def _past_q0s(l, j):
+    """The profile of Q_l Q0^j: the relation that starts with Q_l Q0
+    writes it as sum c Q_x Q_y Q0^(j-1)."""
+    if not l:
+        return {(j + 1, j + 1): (0, 1)}
+    if not j:
+        return {(0, 1): (0, 1)}
+    out = {}
+    for c, x, y in RELATIONS[l - 1][1:]:
+        _add(out, _times_profile(x, _past_q0s(y, j - 1)), c.degree())
+    return _checked(out)
+
+
+def _times_profile(x, profile):
+    """The profile of x times a form of the given profile, x "a" or the
+    index i of Q_i: Q_i a^d is pushed to sum c_l Q_l, and Q_l Q0^j is
+    `_past_q0s`, its words followed by the q - j letters after Q0^j."""
+    out = {}
+    for (j, q), (d, n) in profile.items():
+        if x == "a":
+            _add(out, {(j, q): (d + 1, n)})
+            continue
+        for l, e in enumerate(_pushed_degrees(d)[x]):
+            if e >= 0:
+                _add(out, {(k, p + q - j): v
+                           for (k, p), v in _past_q0s(l, j).items()}, e, n)
+    return _checked(out)
+
+
+def _profile(op: Operation):
+    """The straightening profile of a normal form (see `_scan`)."""
+    out = {}
+    for (j, w), c in op.terms.items():
+        _add(out, {(j, j + len(w)): (c.degree(), 1)})
+    return out
+
+
+def _scan(text: str, factors, profile=None, context=""):
+    """Refuse the term (factors) of text, times a normal form of the given
+    profile (that of 1 by default), when its straightening size passes
+    `_PUSH_LIMIT`.
+
+    A straightening profile {(j, q): (d, n)} bounds the terms c Q0^j Q_w
+    of degree q (w of length q - j) of a straightened form: at most n of
+    them, with deg c <= d.  The letters are scanned right to left through
+    the rules of `opalgebra` run on degrees and counts alone
+    (`_times_profile`), and the size of a profile is the sum of
+    n * (d + 1)^2.
+    """
+    if profile is None:
+        profile = {(0, 0): (0, 1)}
+    try:
+        for tok, k in reversed(factors):
+            if tok in _LETTERS:
+                for _ in range(k):
+                    profile = _times_profile(
+                        "a" if tok == "a" else int(tok[1]), profile)
+    except _OverLimit:
+        raise UsageError("%r has a term of straightening size above %d "
+                         "(terms times (a-degree + 1)^2)%s"
+                         % (text, _PUSH_LIMIT, context)) from None
+
+
+def _check(text: str, prefix: str, degree: bool = False):
+    """Refuse, by a scan that builds nothing, any term of text whose
+    integer factors n^k pass `_BITS_LIMIT` bits (k times the bits of n),
+    with degree set any term whose exponents of a, d and d' pass
+    `_DEGREE_LIMIT`, any term with more than `_LETTER_LIMIT` letters a,
+    Q0, Q1 and Q2, and any term whose straightening size (`_scan`) passes
+    `_PUSH_LIMIT`."""
     for _, factors in _read(summands, text, prefix):
         bits = 0
         for tok, k in factors:
@@ -82,6 +191,13 @@ def _parse(fn, text: str, prefix: str, degree: bool = False):
         if sum(k for tok, k in factors if tok in _LETTERS) > _LETTER_LIMIT:
             raise UsageError("%r has a term of more than %d letters a, Q0, "
                              "Q1 and Q2" % (text, _LETTER_LIMIT))
+        _scan(text, factors)
+
+
+def _parse(fn, text: str, prefix: str, degree: bool = False):
+    """_read(fn, text, prefix) for every expression argument, once
+    `_check` has passed it."""
+    _check(text, prefix, degree)
     return _read(fn, text, prefix)
 
 
@@ -174,6 +290,10 @@ _BITS_LIMIT = 1 << 19
 # nf "Q1 a^255" takes 0.3 s, "Q1 a^511" 2 s and "Q1 a^1023" 17 s.
 _LETTERS = ("a", "Q0", "Q1", "Q2")
 _LETTER_LIMIT = 256
+# At straightening size 2^20, nf "Q0^6 a^2" takes 3.7 s cold, "Q2^6 a^2"
+# 1.7 s and "Q2^7 Q0" 1.2 s; at 2^21, "Q0^7 a" takes 12 s, and at 2^23
+# "Q2^8 Q0" over a minute and mul "Q1 a^255" "Q2 a^255" 15 s.
+_PUSH_LIMIT = 1 << 21
 # tensor omega^512 omega^512 takes 2 s and omega^800 omega^800 7 s.
 _OMEGA_LIMIT = 512
 # The logarithm takes seconds at --prec2 256 --precA 256, and its cost grows
@@ -209,7 +329,13 @@ def _cmd_nf(args):
 
 
 def _cmd_mul(args):
-    product = _operation(args.left) * _operation(args.right)
+    left, right = _operation(args.left), _operation(args.right)
+    # the left factor's letters are pushed through the right one too
+    profile = _profile(right)
+    for _, factors in summands(args.left):
+        _scan(args.left, factors, profile,
+              " in its product with %r" % args.right)
+    product = left * right
     return 0, product.to_json(), str(product)
 
 
@@ -389,7 +515,12 @@ class _Parser(argparse.ArgumentParser):
         super().error(head + sep + rest)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: it holds no state of a
+    parse (no action has a mutable default, handlers are bound here, and
+    argparse reads COLUMNS when it formats a message), so every `main`
+    call can reuse it."""
     parser = _Parser(
         prog="powerops",
         description="Exact computations in the algebra of power operations.")
@@ -484,8 +615,7 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         # Exact answers are printed in full, however many digits they have.
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         code, payload, text = args.func(args)
         print(json.dumps(payload, sort_keys=True, indent=2) if args.json

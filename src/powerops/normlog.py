@@ -13,9 +13,10 @@ evaluates TRACE and NORM on each host and proves the two identifications
 symbolically against the same data.  Three hosts are supported: R = Z[a]
 (trace, norm, congruence and linearization checks), S = R[1/D] (exact unit
 arithmetic), and the completed ring of 2-adically truncated series (log
-evaluation at stated precision).  On each, Q-values go through `push_poly`
-(`q_triple_R`); P is a ring homomorphism, so on S, P(f / D^n) is the
-Q-triple of f times P(D)^(-n), which is how Q_i reach denominators.
+evaluation at stated precision).  On each, Q-values go through the Q0
+coefficient of `push_poly` (`q_triple_R`); P is a ring homomorphism, so on
+S, P(f / D^n) is the Q-triple of f times P(D)^(-n), which is how Q_i reach
+denominators.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .poly import Poly, A, ONE, ZERO, DISC
 from .tower import SFrac, S2Elem
 from .padic import (PadicElem, PrecisionError, log_half, DEFAULT_PREC2,
                     DEFAULT_PRECA)
-from .opalgebra import push_poly
+from .opalgebra import _pushed
 from .mpoly import MPoly
 
 __all__ = ["TRACE", "NORM", "NormContext", "norm_multiplicativity_check",
@@ -52,9 +53,10 @@ def q_triple_R(x) -> tuple:
     """(Q0 x, Q1 x, Q2 x) for x in Z[a].
 
     Q_i x is Q_i * x(a) applied to 1; since Q0 fixes 1 and Q1, Q2 kill it,
-    that is the Q0 coefficient of `push_poly`.
+    that is the Q0 coefficient of `push_poly`, computed alone.
     """
-    return tuple(push_poly(i, x)[0] for i in range(3))
+    x = Poly(x)
+    return tuple(_pushed(i, x, 0) for i in range(3))
 
 
 # P is a ring map R -> S2, and P(D)^-1 has only D-power denominators since

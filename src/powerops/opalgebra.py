@@ -328,15 +328,19 @@ def push_through(i: int, k: int):
     return rows[k][i]
 
 
+def _pushed(i: int, p: Poly, j: int) -> Poly:
+    """c_j of Q_i * p(a) = c0*Q0 + c1*Q1 + c2*Q2, alone (p a Poly)."""
+    out = ZERO
+    for k, coeff in enumerate(p.coeffs):
+        if coeff:
+            out = out + coeff * push_through(i, k)[j]
+    return out
+
+
 def push_poly(i: int, p: Poly):
     """Write Q_i * p(a) as c0*Q0 + c1*Q1 + c2*Q2."""
-    out = [ZERO, ZERO, ZERO]
-    for k, coeff in enumerate(Poly(p).coeffs):
-        if coeff:
-            t = push_through(i, k)
-            for j in range(3):
-                out[j] = out[j] + coeff * t[j]
-    return tuple(out)
+    p = Poly(p)
+    return _pushed(i, p, 0), _pushed(i, p, 1), _pushed(i, p, 2)
 
 
 # --- the element class ------------------------------------------------------

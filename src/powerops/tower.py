@@ -139,6 +139,9 @@ class SFrac:
         return _coerce(other) - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            # a scaling, as by -2 in `S2Elem.from_powers`
+            return SFrac(self.num * other, self.dpow, self.tpow)
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -309,6 +312,9 @@ class S2Elem:
         return other - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            # a scaling, as by -2 in `from_powers`: no cubic product
+            return type(self)(*(x * other for x in self.c))
         other = self._lift(other)
         if other is None:
             return NotImplemented

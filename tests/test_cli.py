@@ -1,6 +1,7 @@
 """Command-line front end: output bytes, JSON payloads, and exit codes."""
 
 import importlib
+import itertools
 import json
 import os
 import shutil
@@ -263,6 +264,21 @@ class TestInputSyntax:
         (["mul", "Q1", "a^128 Q2 a^128"], 2, None),
         (["act", "Q0^257"], 2, None),
         (["nf", "a^255 Q1"], 0, ["nf", "a^200 a^55 Q1"]),
+        # and a straightening size at most 2^21: the rules run on the
+        # a-degree d and the count n of the straightened terms alone, and
+        # the size is the sum of n (d + 1)^2
+        (["nf", "Q1^18 a"], 0, ["nf", "Q1^9 Q1^9 a"]),
+        (["nf", "Q1^19 a"], 2, "error: 'Q1^19 a' has a term of "
+         "straightening size above 2097152 (terms times (a-degree + 1)^2)\n"),
+        (["nf", "Q2 Q0^5"], 0, ["nf", "Q2 Q0^2 Q0^3"]),
+        (["nf", "Q2 Q0^6"], 2, None),
+        (["nf", "Q2^8 Q0"], 2, None),
+        (["nf", "Q0^200"], 0, ["nf", "Q0^100 Q0^100"]),
+        # a product scans the left factor on the right one's normal form
+        (["mul", "Q1^8", "a"], 0, ["nf", "Q1^8 a"]),
+        (["mul", "Q1 a^108", "Q2 a^84"], 2, "error: 'Q1 a^108' has a term "
+         "of straightening size above 2097152 (terms times (a-degree + "
+         "1)^2) in its product with 'Q2 a^84'\n"),
         # and a module name at most 512 tensor factors, omega^N counting N
         (["act", "Q1", "--module", "omega^513"], 2, "error: module "
          "'omega^513' has more than 512 tensor factors (omega^N counts N)\n"),
@@ -293,6 +309,44 @@ class TestInputSyntax:
         assert capsys.readouterr().err.endswith(
             "error: argument --field: invalid choice: 'r' "
             "(choose from 'q', 'f2', 'z')\n")
+
+
+class TestStraighteningProfile:
+    # the size limit rests on the profile bounding the a-degree and the
+    # number of the terms c Q0^j Q_w of each degree q, for a word alone
+    # and for a word times a normal form
+    @staticmethod
+    def bounded(profile, op):
+        from collections import Counter
+        from powerops.cli import _checked
+        profile = _checked(profile)
+        keys = Counter((j, j + len(w)) for j, w in op.terms)
+        return all(keys[key] <= profile[key][1] for key in keys) and all(
+            c.degree() <= profile[(j, j + len(w))][0]
+            for (j, w), c in op.terms.items())
+
+    @staticmethod
+    def scanned(word, profile):
+        from powerops.cli import _times_profile
+        for x in reversed(word):
+            profile = _times_profile("a" if x == "a" else int(x[1]), profile)
+        return profile
+
+    def test_words_of_five_letters(self):
+        for n in range(6):
+            for word in itertools.product(("a", "Q0", "Q1", "Q2"), repeat=n):
+                assert self.bounded(self.scanned(word, {(0, 0): (0, 1)}),
+                                    Operation.from_word(list(word))), word
+
+    def test_products(self):
+        from powerops.cli import _profile
+        words = [w for n in range(4)
+                 for w in itertools.product(("a", "Q0", "Q1", "Q2"), repeat=n)]
+        for right in words[::3]:
+            op = Operation.from_word(list(right)) + Operation.from_word(["Q2"])
+            for left in words[1::4]:
+                assert self.bounded(self.scanned(left, _profile(op)),
+                                    Operation.from_word(list(left)) * op)
 
 
 class TestInternalErrors:

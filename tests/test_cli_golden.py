@@ -107,6 +107,8 @@ CASES = [
     ["theta", "x^16 + (Q[1] x)^5"],
     ["nf", "Q1 a^256", "--json"],
     ["act", "Q1", "--module", "omega^513"],
+    ["nf", "Q2 Q0^6"],
+    ["mul", "Q1 a^108", "Q2 a^84"],
 ]
 
 
@@ -141,6 +143,22 @@ def test_golden_file_lists_the_cases(golden):
                          ids=[" ".join(argv) or "(none)" for argv in CASES])
 def test_output_is_byte_identical(golden, index):
     assert run(CASES[index]) == golden[index]
+
+
+def test_parser_is_built_once():
+    from powerops.cli import _build_parser
+    assert _build_parser() is _build_parser()
+
+
+def test_reused_parser_leaks_no_state(golden):
+    # through the one parser: ell with its default flags right after ell
+    # with --prec2 8, and a valid tor right after an argparse error that
+    # raised SystemExit in the middle of parsing tor's flags
+    for argv in (["ell", "1 + 2 a", "--prec2", "8", "--precA", "6", "--json"],
+                 ["ell", "1 + 2 a"],
+                 ["tor", "--k", "x"],
+                 ["tor", "--k", "2", "--field", "f2"]):
+        assert run(argv) == golden[CASES.index(argv)]
 
 
 if __name__ == "__main__":
