@@ -1,9 +1,9 @@
 """Exact matrix algebra over Z, Q[a], and F2[a].
 
-Smith normal form over a Euclidean domain, kernel bases from its column
-transform, and the homology of a pair of composable maps from invariant
-factors alone.  Matrices carry explicit shape so zero-dimensional edge
-cases stay unambiguous.
+Invariant factors over a Euclidean domain by Smith normal form, with no
+transform formed, and the homology of a pair of composable maps from them
+alone.  Matrices carry explicit shape so zero-dimensional edge cases stay
+unambiguous.
 
 `unit_pivot_elimination` is a sparse first pass over Z[a] itself: its
 constant +-1 pivots stay units over every ring Z[a] maps to, and it
@@ -23,8 +23,7 @@ from .poly import Poly, ZERO, _add, _dense_divmod, _dense_mul, _trim
 
 __all__ = ["Matrix", "IntRing", "FieldPolyRing", "ZZ", "QA", "F2A",
            "ring_by_name", "mat_mul", "unit_pivot_elimination",
-           "smith_normal_form", "diagonal_invariants", "kernel_basis",
-           "homology", "homology_triple"]
+           "smith_normal_form", "homology", "homology_triple"]
 
 
 class Matrix:
@@ -39,18 +38,6 @@ class Matrix:
         self.m = m
         self.n = n
         self.rows = rows
-
-    @classmethod
-    def zero(cls, m: int, n: int, ring) -> "Matrix":
-        return cls(m, n, [[ring.zero] * n for _ in range(m)])
-
-    @classmethod
-    def identity(cls, n: int, ring) -> "Matrix":
-        return cls(n, n, [[ring.one if i == j else ring.zero
-                           for j in range(n)] for i in range(n)])
-
-    def column(self, j: int):
-        return [self.rows[i][j] for i in range(self.m)]
 
     def __eq__(self, other):
         if isinstance(other, Matrix):
@@ -78,17 +65,11 @@ class IntRing:
     def is_zero(self, x):
         return not x
 
-    def is_one(self, x):
-        return x == 1
-
     def is_unit(self, x):
         return x in (1, -1)
 
     def add(self, x, y):
         return x + y
-
-    def sub(self, x, y):
-        return x - y
 
     def mul(self, x, y):
         return x * y
@@ -132,9 +113,6 @@ class FieldPolyRing:
     def is_zero(self, x):
         return not x
 
-    def is_one(self, x):
-        return x == self.one
-
     def is_unit(self, x):
         return len(x) == 1
 
@@ -146,9 +124,6 @@ class FieldPolyRing:
         if self.char:
             return x
         return tuple(-c for c in x)
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
     def mul(self, x, y):
         if not x or not y:
@@ -295,129 +270,83 @@ def unit_pivot_elimination(mat: Matrix):
                          for i in sorted(live)])
 
 
-def smith_normal_form(ring, mat: Matrix, track: bool = False):
-    """Diagonalize U @ mat @ V with unimodular U, V; returns (S, V).
+def smith_normal_form(ring, mat: Matrix):
+    """The nonzero invariant factors of mat, as a divisibility chain in
+    canonical form (nonnegative over Z, monic over the polynomial rings).
 
-    Only V is tracked, and only when track is set (V is None otherwise):
-    kernels need V, and invariant factors need no transforms at all.
-    Diagonal entries form a divisibility chain in canonical form
-    (nonnegative over Z, monic over the polynomial rings).
+    Row and column operations diagonalize a copy of mat; no transform is
+    formed.  Step t leaves row and column t zero off the diagonal, and no
+    later step reads them, so only the diagonal entry is made canonical.
     """
     m, n = mat.m, mat.n
     S = [row[:] for row in mat.rows]
-    V = [[ring.one if i == j else ring.zero for j in range(n)]
-         for i in range(n)] if track else None
-
-    def col_addmul(j, i, c):
-        for r in range(m):
-            if not ring.is_zero(S[r][i]):
-                S[r][j] = ring.add(S[r][j], ring.mul(c, S[r][i]))
-        if track:
-            for r in range(n):
-                if not ring.is_zero(V[r][i]):
-                    V[r][j] = ring.add(V[r][j], ring.mul(c, V[r][i]))
+    is_zero, out = ring.is_zero, []
 
     def col_swap(i, j):
-        for r in range(m):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        if track:
-            for r in range(n):
-                V[r][i], V[r][j] = V[r][j], V[r][i]
+        for row in S:
+            row[i], row[j] = row[j], row[i]
 
     def row_addmul(i, j, c):
-        S[i] = [ring.add(S[i][t], ring.mul(c, S[j][t])) for t in range(n)]
+        S[i] = [ring.add(x, ring.mul(c, y)) for x, y in zip(S[i], S[j])]
 
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = S[i][j]
-                if not ring.is_zero(x):
-                    sz = ring.size(x)
-                    if best is None or sz < best[0]:
-                        best = (sz, i, j)
+    for t in range(min(m, n)):
+        best = min(((ring.size(S[i][j]), i, j) for i in range(t, m)
+                    for j in range(t, n) if not is_zero(S[i][j])),
+                   default=None)
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            S[t], S[bi] = S[bi], S[t]
-        if bj != t:
-            col_swap(t, bj)
+        S[t], S[bi] = S[bi], S[t]
+        col_swap(t, bj)
+        # clear column t, then row t, starting over whenever a remainder
+        # becomes the smaller pivot; then make the pivot divide the rest
         while True:
-            restart = False
             for i in range(t + 1, m):
-                if ring.is_zero(S[i][t]):
+                if is_zero(S[i][t]):
                     continue
                 q, r = ring.divmod_pair(S[i][t], S[t][t])
-                if not ring.is_zero(q):
+                if not is_zero(q):
                     row_addmul(i, t, ring.neg(q))
-                if not ring.is_zero(r):
+                if not is_zero(r):
                     S[t], S[i] = S[i], S[t]
-                    restart = True
                     break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if ring.is_zero(S[t][j]):
-                    continue
-                q, r = ring.divmod_pair(S[t][j], S[t][t])
-                if not ring.is_zero(q):
-                    col_addmul(j, t, ring.neg(q))
-                if not ring.is_zero(r):
-                    col_swap(t, j)
-                    restart = True
-                    break
-            if restart:
-                continue
-            if ring.is_unit(S[t][t]):
-                break       # a unit divides every entry: no offender
-            offender = None
-            for i in range(t + 1, m):
+            else:
                 for j in range(t + 1, n):
-                    _, r = ring.divmod_pair(S[i][j], S[t][t])
-                    if not ring.is_zero(r):
-                        offender = i
+                    if is_zero(S[t][j]):
+                        continue
+                    q, r = ring.divmod_pair(S[t][j], S[t][t])
+                    if not is_zero(q):
+                        c = ring.neg(q)
+                        for row in S:
+                            if not is_zero(row[t]):
+                                row[j] = ring.add(row[j], ring.mul(c, row[t]))
+                    if not is_zero(r):
+                        col_swap(t, j)
                         break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_addmul(t, offender, ring.one)
-        u = ring.canon_unit(S[t][t])
-        if not ring.is_one(u):
-            S[t] = [ring.mul(u, x) for x in S[t]]
-        t += 1
-    return Matrix(m, n, S), Matrix(n, n, V) if track else None
-
-
-def diagonal_invariants(ring, snf: Matrix):
-    out = []
-    for i in range(min(snf.m, snf.n)):
-        x = snf.rows[i][i]
-        if ring.is_zero(x):
-            break
-        out.append(x)
+                else:
+                    if ring.is_unit(S[t][t]):
+                        break       # a unit divides every entry
+                    offender = next((i for i in range(t + 1, m)
+                                     for j in range(t + 1, n)
+                                     if not is_zero(ring.divmod_pair(
+                                         S[i][j], S[t][t])[1])), None)
+                    if offender is None:
+                        break
+                    row_addmul(t, offender, ring.one)
+        x = S[t][t]
+        out.append(ring.mul(ring.canon_unit(x), x))
     return out
-
-
-def kernel_basis(ring, mat: Matrix):
-    """Columns of a basis of ker(mat) as lists of ring elements."""
-    snf, v = smith_normal_form(ring, mat, track=True)
-    r = len(diagonal_invariants(ring, snf))
-    return [v.column(j) for j in range(r, mat.n)]
 
 
 def homology_triple(ring, d1: Matrix, d2: Matrix):
     """(h0, h1, h2) of 0 -> P2 --d2--> P1 --d1--> P0 -> 0, each as
     (free_rank, nontrivial_divisors).
 
-    d1 d2 must vanish.  The untracked Smith forms of d1 and d2 give all
-    three: h0 = coker d1 is on d1's diagonal; im d1 lies in the free P0,
-    so it is free and coker d2 = h1 (+) im d1, which gives h1 the divisors
-    of d2 and free rank d1.n - r1 - r2 (r the ranks); h2 = ker d2 is free
-    over a PID.  Divisors come back in canonical form with units dropped,
+    d1 d2 must vanish.  The invariant factors of d1 and d2 give all
+    three: h0 = coker d1 has those of d1; im d1 lies in the free P0, so it
+    is free and coker d2 = h1 (+) im d1, which gives h1 the divisors of d2
+    and free rank d1.n - r1 - r2 (r the ranks); h2 = ker d2 is free over a
+    PID.  Divisors come back in canonical form with units dropped,
     so a zero module reads (0, []).
     """
     if d1.n != d2.m:
@@ -425,8 +354,8 @@ def homology_triple(ring, d1: Matrix, d2: Matrix):
                          % (d1.n, d2.m))
     if any(any(row) for row in mat_mul(ring, d1, d2).rows):
         raise ValueError("maps do not compose to zero")
-    divs1 = diagonal_invariants(ring, smith_normal_form(ring, d1)[0])
-    divs2 = diagonal_invariants(ring, smith_normal_form(ring, d2)[0])
+    divs1 = smith_normal_form(ring, d1)
+    divs2 = smith_normal_form(ring, d2)
     r1, r2 = len(divs1), len(divs2)
     return ((d1.m - r1, [d for d in divs1 if not ring.is_unit(d)]),
             (d1.n - r1 - r2, [d for d in divs2 if not ring.is_unit(d)]),

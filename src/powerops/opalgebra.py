@@ -236,13 +236,40 @@ def _times(terms, bound, x):
     return out, bound * peak
 
 
+class _Missing(Exception):
+    """A table entry that an image being filled needs first."""
+
+
+_NESTING = 50   # fills one inside another before a miss goes on a stack
+_depth = 0
+
+
 def _mono_times(j: int, word: tuple, x):
     """(Q0^j Q_word) * x packed, and its L1 bound, for x = "a" or x = 0,
-    from the table of the current width."""
+    from the table of the current width.
+
+    A miss fills the images it needs (of shorter words, or of Q0^(j-1))
+    inside its own fill.  `_NESTING` fills deep, a miss stops the innermost
+    image with `_Missing` instead, and that fill works through the missed
+    keys on its own stack, so the depth does not grow with the word."""
+    global _depth
     key = (j, word, x)
     hit = _table.get(key)
     if hit is None:
-        hit = _table[key] = _mono_image(j, word, x)
+        if _depth == _NESTING:
+            raise _Missing(key)
+        _depth += 1
+        stack = [key]
+        try:
+            while stack:
+                try:
+                    _table[stack[-1]] = _mono_image(*stack[-1])
+                    stack.pop()
+                except _Missing as miss:
+                    stack.append(miss.args[0])
+        finally:
+            _depth -= 1
+        hit = _table[key]
     return hit
 
 

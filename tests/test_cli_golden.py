@@ -109,6 +109,7 @@ CASES = [
     ["act", "Q1", "--module", "omega^513"],
     ["nf", "Q2 Q0^6"],
     ["mul", "Q1 a^108", "Q2 a^84"],
+    ["nf", "Q1^255 Q0", "--json"],
 ]
 
 

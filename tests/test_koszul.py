@@ -302,9 +302,9 @@ class TestCertificate:
         calls = []
         real = koszul.smith_normal_form
 
-        def spy(ring, mat, track=False):
+        def spy(ring, mat):
             calls.append((ring.name, mat.rows))
-            return real(ring, mat, track)
+            return real(ring, mat)
         monkeypatch.setattr(koszul, "smith_normal_form", spy)
         rep = tor_gamma_mod_I(1)
         assert calls == [("Z", [[2]]), ("Q[a]", [[(2,)]]), ("F2[a]", [[()]])]
@@ -338,8 +338,22 @@ class TestIdentification:
         assert rep["relations_killed"]
         assert rep["kernel_rank"] == 2
         assert rep["relation_span_rank"] == 2
-        assert rep["combined_rank"] == 2
+        assert rep["relation_divisors"] == []
         assert rep["ok"]
+
+    def test_relation_scaled_by_a_spans_less_than_the_kernel(
+            self, monkeypatch):
+        # a * rho_1 is still killed and still has rank 2, so it spans the
+        # kernel over Q(a); over Q[a] it misses rho_1, and the invariant
+        # factor a of the relation matrix shows it
+        scaled = tuple((A * c, i, j) for c, i, j in RELATIONS[0])
+        monkeypatch.setattr(koszul, "RELATIONS", (scaled,) + RELATIONS[1:])
+        rep = identification_check()
+        assert rep["relations_killed"]
+        assert rep["kernel_rank"] == 2
+        assert rep["relation_span_rank"] == 2
+        assert rep["relation_divisors"] == ["a"]
+        assert not rep["ok"]
 
     def test_relations_hold_in_operation_algebra(self):
         # the two stored relations really are zero after straightening

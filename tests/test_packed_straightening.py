@@ -8,6 +8,7 @@ gives every answer.
 """
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,3 +201,22 @@ def test_tracked_bounds_cover_the_true_norms(w):
     y = Operation.from_word(["Q0", "Q1", "a", "Q0"])
     terms, bound = opalgebra._raw_multiply(x.terms, y.terms)
     assert bound >= opalgebra._norm((x * y).terms.values())
+
+
+def test_a_long_word_fills_its_images_on_a_stack(monkeypatch):
+    # Q1^255 Q0 needs the image of every prefix Q1^k Q0, each from the one
+    # before; the fill stops nesting at _NESTING levels, so the default
+    # recursion limit holds.  Unbounded nesting, under a raised limit,
+    # gives the same answer
+    got = opalgebra.normal_form("Q1^255 Q0")
+    assert len(got.terms) == 256
+    opalgebra._tables.clear()
+    opalgebra._use_width(opalgebra._START_WIDTH)
+    monkeypatch.setattr(opalgebra, "_NESTING", 10 ** 6)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10000)
+    try:
+        want = opalgebra.normal_form("Q1^255 Q0")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
