@@ -22,7 +22,8 @@ A term takes the product rule
 
 with s = c and t = m.  theta m and the triple (Q0 m, Q1 m, Q2 m) are
 memoized per ring; they peel one generator off m at a time, by the same
-rule with s the generator and t the rest.  theta of a scalar folds its
+rule with s the generator and t the rest, down to the longest memoized
+part of m, and then build upward in a loop.  theta of a scalar folds its
 terms n a^k the same way, with theta(n) = (n - n^2) / 2 for integers and
 theta(a^k) from a table shared by every ring and filled upward by
 
@@ -431,9 +432,17 @@ class AmplifiedRing:
         cached = self._q_mono_memo.get(m)
         if cached is not None:
             return cached
-        g, unit = _peel(m)
-        result = _cartan(self._q_gen(g), self._q_mono(m - unit))
-        self._q_mono_memo[m] = result
+        # walk down to the longest memoized part of m (or to 1), then up
+        memo, chain = self._q_mono_memo, []
+        while m and m not in memo:
+            g, unit = _peel(m)
+            chain.append((g, unit))
+            m -= unit
+        result = memo.get(m, _Q_ONE)
+        for g, unit in reversed(chain):
+            result = _cartan(self._q_gen(g), result)
+            m += unit
+            memo[m] = result
         return result
 
     def _q(self, i, terms):
@@ -458,21 +467,27 @@ class AmplifiedRing:
         cached = self._theta_mono_memo.get(m)
         if cached is not None:
             return cached
-        g, unit = _peel(m)
-        theta_g = self._gen_key(g[0] + 1, g[1])
-        rest = m - unit
-        if not rest:
-            result = {theta_g: 1}
-        else:
-            # theta(g y) = g^2 theta y + y^2 theta g + 2 theta g theta y
-            #              + Q1 g Q2 y + Q2 g Q1 y
-            theta_y = self._theta_mono(rest)
-            q_g, q_y = self._q_gen(g), self._q_mono(rest)
-            result = _products([({2 * unit: 1, theta_g: 2}, theta_y),
-                                ({2 * rest + theta_g: 1}, {0: 1}),
-                                (q_g[1], q_y[2]), (q_g[2], q_y[1])])
-        self._theta_mono_memo[m] = result
-        return result
+        # walk down to the longest memoized part of m (or to 1), then up
+        memo, chain = self._theta_mono_memo, []
+        while m and m not in memo:
+            g, unit = _peel(m)
+            chain.append((g, unit))
+            m -= unit
+        theta_y = memo.get(m, {})
+        for g, unit in reversed(chain):
+            theta_g = self._gen_key(g[0] + 1, g[1])
+            if not m:
+                theta_y = {theta_g: 1}
+            else:
+                # theta(g y) = g^2 theta y + y^2 theta g + 2 theta g theta y
+                #              + Q1 g Q2 y + Q2 g Q1 y, with y = m
+                q_g, q_y = self._q_gen(g), self._q_mono(m)
+                theta_y = _products([({2 * unit: 1, theta_g: 2}, theta_y),
+                                     ({2 * m + theta_g: 1}, {0: 1}),
+                                     (q_g[1], q_y[2]), (q_g[2], q_y[1])])
+            m += unit
+            memo[m] = theta_y
+        return theta_y
 
     def _theta(self, terms):
         pairs, seen = [], []  # the products to sum, and the terms so far

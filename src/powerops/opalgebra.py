@@ -103,34 +103,12 @@ def psi() -> Operation:
 # at least 2^W in size, and so was the bound that covered it.  No later
 # step lowers a bound, so the result is computed again, wider.
 #
-# Each `_straighten` call starts at `_START_WIDTH`.  The table of images
-# `_mono_times` reads is kept per width: the one at the start width, and at
-# most one wider one for the calls that need it, so that one wide result
-# does not slow every later product.
+# The process has one width, which only grows, and one `_table` of the
+# images `_mono_times` reads, all packed at that width.  When a bound does
+# not fit, the width grows to max(1.5 W, bits of the bound + 1) and the
+# table starts again empty.
 
-_START_WIDTH = 64
-_tables = {}
-
-
-def _use_width(width: int):
-    """Pack at slot width `width`, with that width's table of images."""
-    global _width, _table
-    _width, _table = width, _tables.setdefault(width, {})
-
-
-_use_width(_START_WIDTH)
-
-
-def _wider(bound: int) -> int:
-    """The width to compute again at when `bound` does not fit: that of the
-    kept wider table if it fits, else a new one that replaces it."""
-    need = bound.bit_length() + 1
-    fits = [w for w in _tables if w >= need]
-    if fits:
-        return min(fits)
-    for w in [w for w in _tables if w != _START_WIDTH]:
-        del _tables[w]
-    return max(_width + _width // 2, need)
+_width, _table = 64, {}
 
 
 def _merge(target, source, factor=None):
@@ -177,34 +155,23 @@ def _norm(polys) -> int:
     return sum(abs(c) for p in polys for c in p.coeffs)
 
 
-def _straighten(compute, arglist):
-    """[compute(*args) unpacked, for each args in arglist], where compute
-    returns (packed terms, L1 bound).
-
-    The width starts at `_START_WIDTH` and widens whenever a bound does not
-    fit; a widened width serves the rest of the list, and the width in force
-    before the call is restored after it.
-    """
-    prev, out = _width, []
-    _use_width(_START_WIDTH)
-    try:
-        for args in arglist:
-            terms, bound = compute(*args)
-            while bound.bit_length() >= _width:
-                _use_width(_wider(bound))
-                terms, bound = compute(*args)
-            out.append({key: _unpack(c) for key, c in terms.items() if c})
-    finally:
-        _use_width(prev)
-    return out
+def _straighten(compute, *args):
+    """compute(*args) unpacked, where compute returns (packed terms, L1
+    bound).  While the bound does not fit, the width grows (see above) and
+    compute runs again."""
+    global _width, _table
+    terms, bound = compute(*args)
+    while bound.bit_length() >= _width:
+        _width, _table = max(_width + _width // 2, bound.bit_length() + 1), {}
+        terms, bound = compute(*args)
+    return {key: _unpack(c) for key, c in terms.items() if c}
 
 
 def _straighten_sums(sums):
     """For each list of (mono, p, letters, tail) items, the sum of
     mono * p * letters with each monomial m of it placed at (m, *tail), as
-    {(m, *tail): Poly}.  One call straightens the whole list, so a width
-    it widens to serves the lists after."""
-    return _straighten(_placed_sum, [(items,) for items in sums])
+    {(m, *tail): Poly}."""
+    return [_straighten(_placed_sum, items) for items in sums]
 
 
 def _placed_sum(items):
@@ -246,7 +213,7 @@ _depth = 0
 
 def _mono_times(j: int, word: tuple, x):
     """(Q0^j Q_word) * x packed, and its L1 bound, for x = "a" or x = 0,
-    from the table of the current width.
+    from the table.
 
     A miss fills the images it needs (of shorter words, or of Q0^(j-1))
     inside its own fill.  `_NESTING` fills deep, a miss stops the innermost
@@ -410,8 +377,7 @@ class Operation:
             if tok not in ("a", "Q0", "Q1", "Q2", 0, 1, 2):
                 raise ValueError("unknown letter %r" % (tok,))
             word.append(tok if tok == "a" else int(str(tok)[-1]))
-        return Operation(*_straighten(_times_word,
-                                      [({(0, ()): 1}, 1, word)]))
+        return Operation(_straighten(_times_word, {(0, ()): 1}, 1, word))
 
     # -- structure ---------------------------------------------------------
 
@@ -459,7 +425,7 @@ class Operation:
             other = other.terms
         else:
             return NotImplemented
-        return Operation(*_straighten(_raw_multiply, [(self.terms, other)]))
+        return Operation(_straighten(_raw_multiply, self.terms, other))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Poly)):

@@ -1,6 +1,7 @@
 """Tests for the amplified-ring engine and its torsion-free witness model."""
 
 import random
+import sys
 
 import pytest
 
@@ -537,3 +538,23 @@ class TestPackedTerms:
         for i in range(3):
             assert M.embed(R.q(i, p)) == M.q(i, image)
         assert M.embed(R.theta(p)) == M.theta(image)
+
+    def test_theta_and_q_of_a_long_power_build_their_chain_in_a_loop(self):
+        # theta and Q of x^32 peel one x at a time, 32 steps; the steps
+        # run in a loop, so 25 frames above this test's own depth suffice
+        def values():
+            R = AmplifiedRing(1, 1)
+            p = R.x() ** 32
+            return R.theta(p), R.q(1, p)
+
+        want = values()
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 25)
+        try:
+            got = values()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want

@@ -1,7 +1,7 @@
 """The shared caches are never mutated.
 
-Straightening keeps a table of packed images per slot width
-(`opalgebra._tables`), and `AmplifiedRing` memoizes Q and theta of
+Straightening keeps one table of packed images, at the one slot width
+(`opalgebra._table`), and `AmplifiedRing` memoizes Q and theta of
 generators and monomials as packed term dicts.  The engines read the
 cached dicts themselves, so these tests warm the caches up, copy every
 cached term dict, compute again (and with values built on the cached
@@ -40,8 +40,7 @@ def memoized(ring):
 
 def cached_term_dicts(ring):
     """(dict, copy) for every term dict the caches hold."""
-    held = [(terms, dict(terms)) for table in opalgebra._tables.values()
-            for terms, _ in table.values()]
+    held = [(terms, dict(terms)) for terms, _ in opalgebra._table.values()]
     return held + [(terms, dict(terms)) for terms in memoized(ring)]
 
 
@@ -49,7 +48,7 @@ def test_caches_are_never_mutated():
     ring = AmplifiedRing(2, 3)
     work(ring)
     held = cached_term_dicts(ring)
-    assert opalgebra._tables[opalgebra._START_WIDTH]
+    assert opalgebra._table
     assert ring._q_gen_memo and ring._q_mono_memo and ring._theta_mono_memo
     ops, amps = work(ring)
     for u in ops:
