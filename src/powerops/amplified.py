@@ -20,12 +20,13 @@ A term takes the product rule
     theta(s t)    = s^2 theta t + t^2 theta s + 2 theta s theta t
                     + Q1 s Q2 t + Q2 s Q1 t
 
-with s = c and t = m.  theta m and the triple (Q0 m, Q1 m, Q2 m) are
-memoized per ring; they peel one generator off m at a time, by the same
-rule with s the generator and t the rest, down to the longest memoized
-part of m, and then build upward in a loop.  theta of a scalar folds its
-terms n a^k the same way, with theta(n) = (n - n^2) / 2 for integers and
-theta(a^k) from a table shared by every ring and filled upward by
+with s = c and t = m.  theta m and the triple (Q0 m, Q1 m, Q2 m) come
+from one walk that peels m into generators and builds it back up in a
+loop, by the same rule with s a generator and t the part built so far,
+whose Q-triple it carries; only m's answer is memoized, not the parts.
+theta of a scalar folds its terms n a^k the same way, with theta(n) =
+(n - n^2) / 2 for integers and theta(a^k) from a table shared by every
+ring and filled upward by
 
     theta(a s)    = a^2 theta s - a Q1 s + 3 Q2 s.
 
@@ -44,8 +45,8 @@ of ints; a coefficient becomes a `Poly` only where theta and Q group the
 terms by monomial, and in the decoded view `AmplifiedPoly.terms`.  An
 exponent stays below 2^15: the top bit of each field is a guard that a
 product checks, raising WindowOverflowError, so no exponent ever carries
-into the next field.  The memos of theta m and of the Q-triple of m are
-keyed by the packed m, and peel off its lowest field.
+into the next field.  The walk's memo is keyed by the packed m, and the
+walk peels off its lowest field first.
 
 `WitnessModel` is an independent consistency oracle: a torsion-free
 polynomial model on admissible Q-words (Q0 allowed as a letter), built on
@@ -201,6 +202,7 @@ def _sum(*parts):
 
 _A = {1: 1}
 _Q_ONE = ({0: 1}, {}, {})
+_NEITHER = (None, None)
 #: `CARTAN` with packed coefficients.
 _CARTAN = tuple(tuple((_packed(c), l, m) for c, l, m in rule)
                 for rule in CARTAN)
@@ -361,16 +363,16 @@ class AmplifiedPoly:
 class AmplifiedRing:
     """The free amplified ring on one generator, truncated to a window.
 
-    Its memos map a-free monomial keys (and, for Q of a generator, the
-    generator) to packed values, which callers never mutate.
+    Its memos map a generator to its Q-triple, and each a-free monomial
+    key m that theta or Q met to the pair (theta m, Q-triple of m), a part
+    None until asked for.  Callers never mutate the packed values.
     """
 
     def __init__(self, theta_depth: int = 2, word_depth: int = 3):
         self.theta_depth = theta_depth
         self.word_depth = word_depth
         self._q_gen_memo = {}
-        self._q_mono_memo = {}
-        self._theta_mono_memo = {}
+        self._mono_memo = {}
 
     # -- construction ------------------------------------------------------
 
@@ -425,30 +427,44 @@ class AmplifiedRing:
         self._q_gen_memo[g] = result
         return result
 
-    def _q_mono(self, m):
-        """(Q0, Q1, Q2) of the a-free key m."""
-        if not m:
-            return _Q_ONE
-        cached = self._q_mono_memo.get(m)
-        if cached is not None:
-            return cached
-        # walk down to the longest memoized part of m (or to 1), then up
-        memo, chain = self._q_mono_memo, []
-        while m and m not in memo:
-            g, unit = _peel(m)
+    def _mono(self, m, theta, q):
+        """(theta m, (Q0, Q1, Q2) of m) for the a-free key m, each None
+        unless asked for: the product rule and the Cartan formula applied
+        one generator g at a time on the part y built so far."""
+        theta_m, q_m = pair = self._mono_memo.get(m, _NEITHER)
+        theta = theta and theta_m is None  # the parts still to form
+        q = q and q_m is None
+        if not (theta or q):
+            return pair
+        chain, y = [], m
+        while y:
+            g, unit = _peel(y)
             chain.append((g, unit))
-            m -= unit
-        result = memo.get(m, _Q_ONE)
+            y -= unit
+        theta_y, q_y = {}, _Q_ONE  # of y = 1
         for g, unit in reversed(chain):
-            result = _cartan(self._q_gen(g), result)
-            m += unit
-            memo[m] = result
-        return result
+            if theta:
+                theta_g = self._gen_key(g[0] + 1, g[1])
+                if not y:
+                    theta_y = {theta_g: 1}
+                else:
+                    # theta(g y) = g^2 theta y + y^2 theta g
+                    #              + 2 theta g theta y + Q1 g Q2 y + Q2 g Q1 y
+                    q_g = self._q_gen(g)
+                    theta_y = _products([({2 * unit: 1, theta_g: 2}, theta_y),
+                                         ({2 * y + theta_g: 1}, {0: 1}),
+                                         (q_g[1], q_y[2]), (q_g[2], q_y[1])])
+            if q or y + unit != m:  # Q of g y is asked for, or a next step
+                q_y = _cartan(self._q_gen(g), q_y) if y else self._q_gen(g)
+            y += unit
+        pair = (theta_y if theta else theta_m, q_y if q else q_m)
+        self._mono_memo[m] = pair
+        return pair
 
     def _q(self, i, terms):
         pairs = []
         for m, c in _grouped(terms).items():
-            trip = self._q_mono(m)
+            trip = self._mono(m, False, True)[1]
             for l, pushed in enumerate(push_poly(i, c)):
                 if pushed.coeffs:
                     pairs.append((_packed(pushed), trip[l]))
@@ -460,46 +476,16 @@ class AmplifiedRing:
 
     # -- theta -------------------------------------------------------------
 
-    def _theta_mono(self, m):
-        """theta of the a-free key m."""
-        if not m:
-            return {}
-        cached = self._theta_mono_memo.get(m)
-        if cached is not None:
-            return cached
-        # walk down to the longest memoized part of m (or to 1), then up
-        memo, chain = self._theta_mono_memo, []
-        while m and m not in memo:
-            g, unit = _peel(m)
-            chain.append((g, unit))
-            m -= unit
-        theta_y = memo.get(m, {})
-        for g, unit in reversed(chain):
-            theta_g = self._gen_key(g[0] + 1, g[1])
-            if not m:
-                theta_y = {theta_g: 1}
-            else:
-                # theta(g y) = g^2 theta y + y^2 theta g + 2 theta g theta y
-                #              + Q1 g Q2 y + Q2 g Q1 y, with y = m
-                q_g, q_y = self._q_gen(g), self._q_mono(m)
-                theta_y = _products([({2 * unit: 1, theta_g: 2}, theta_y),
-                                     ({2 * m + theta_g: 1}, {0: 1}),
-                                     (q_g[1], q_y[2]), (q_g[2], q_y[1])])
-            m += unit
-            memo[m] = theta_y
-        return theta_y
-
     def _theta(self, terms):
         pairs, seen = [], []  # the products to sum, and the terms so far
         for m, c in _grouped(terms).items():
             # theta(c m) = c^2 theta m + theta(c) m^2 + 2 theta(c) theta m
             #              + Q1(c) Q2 m + Q2(c) Q1 m
-            theta_m = self._theta_mono(m)
+            theta_m, q_m = self._mono(m, True, c.degree() > 0)
             theta_c = _theta_scalar(c)
             pairs += [(_packed(c * c + 2 * theta_c), theta_m),
                       (_packed(theta_c, m), {m: 1})]
             if c.degree() > 0:
-                q_m = self._q_mono(m)
                 pairs += [(_packed(_pushed(1, c, 0)), q_m[2]),
                           (_packed(_pushed(2, c, 0)), q_m[1])]
             # theta(S + u) = theta S + theta u - S u, S the terms so far

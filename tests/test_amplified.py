@@ -1,6 +1,8 @@
 """Tests for the amplified-ring engine and its torsion-free witness model."""
 
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -170,6 +172,17 @@ class TestFoldEngine:
         with pytest.raises(WindowOverflowError) as exc:
             R.theta(p)
         assert str(exc.value) == message
+
+    def test_theta_forms_q_of_a_monomial_only_when_needed(self):
+        # Q1 of a generator at the word edge leaves the window; theta of it
+        # with an integer coefficient needs no Q, with an a-multiple it does
+        R = AmplifiedRing(3, 4)
+        lone = R.parse("3 Q[1 2 2 2] x")
+        want = "3 t Q[1 2 2 2] x - 3 (Q[1 2 2 2] x)^2"
+        assert str(R.theta(lone)) == want
+        with pytest.raises(WindowOverflowError):
+            R.theta(R.parse("a^5 Q[1 2 2 2] x"))
+        assert str(R.theta(lone)) == want
 
     def test_constants_hash_as_their_coefficient(self):
         R = AmplifiedRing()
@@ -469,6 +482,8 @@ class TestPackedTerms:
         samples += [rand_window_poly(R, rng) for _ in range(10)]
         for p in samples:
             assert AmplifiedPoly(R, p.terms) == p
+            assert all(p.coefficient(mono) == c for mono, c in p.terms.items())
+            assert p.coefficient((((2, (1, 2)), 7),)) == 0
             assert all(isinstance(c, Poly) and c for c in p.terms.values())
             assert all(mono == tuple(sorted(mono)) for mono in p.terms)
 
@@ -538,6 +553,39 @@ class TestPackedTerms:
         for i in range(3):
             assert M.embed(R.q(i, p)) == M.q(i, image)
         assert M.embed(R.theta(p)) == M.theta(image)
+
+    def test_only_the_monomial_asked_for_is_memoized(self):
+        R = AmplifiedRing(1, 1)
+        x8 = R.x() ** 8
+        theta = R.theta(x8)
+        (m,) = x8._terms
+        assert list(R._mono_memo) == [m]
+        theta_m, q_m = R._mono_memo[m]
+        assert theta_m == theta._terms and q_m is None
+        # the Q-triple is formed on request and joins theta in the entry
+        q1 = R.q(1, x8)
+        assert list(R._mono_memo) == [m]
+        assert R._mono_memo[m][0] is theta_m
+        assert R._mono_memo[m][1][1] == q1._terms
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident size from /proc")
+    def test_theta_of_a_power_peaks_in_proportion_to_its_answer(self):
+        # theta(x^32) has 25 598 packed terms and peaks near 37 MB; keeping
+        # theta and Q of every x^k with k < 32 as well takes about 106 MB.
+        # VmHWM (KiB) is the peak of the memory map exec made; ru_maxrss
+        # would carry over the peak of this test process across the fork.
+        src = os.path.dirname(os.path.dirname(
+            sys.modules["powerops.amplified"].__file__))
+        code = ("from powerops.amplified import AmplifiedRing\n"
+                "R = AmplifiedRing(1, 1)\n"
+                "R.theta(R.x() ** 32)\n"
+                "print(*(line.split()[1] for line in open('/proc/self/status')"
+                " if line.startswith('VmHWM:')))")
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert int(proc.stdout) < 70 * 1024
 
     def test_theta_and_q_of_a_long_power_build_their_chain_in_a_loop(self):
         # theta and Q of x^32 peel one x at a time, 32 steps; the steps

@@ -410,12 +410,19 @@ class TestKoszulCommands:
         assert out.splitlines()[-1] == "acyclic in positions 1 and 2: yes"
 
     def test_acyclic_json_module_payload(self, capsys):
-        from powerops.opmodules import standard_module
+        from powerops.opmodules import standard_module, two_sphere
         blob = json.dumps(standard_module().to_json())
         code, out, _ = run_cli(capsys, "koszul", "acyclic",
                                "--module", blob, "--kmax", "2")
         assert code == 0
         assert "acyclic in positions 1 and 2: yes" in out
+        # a free h0 of rank 2 prints as a power of the ring
+        blob = json.dumps(two_sphere().to_json())
+        code, out, _ = run_cli(capsys, "koszul", "acyclic",
+                               "--module", blob, "--kmax", "1")
+        assert code == 0
+        assert out.splitlines()[1] == ("cap 1: h0 = Q[a]^2, h1 = 0, h2 = 0"
+                                       "  [ok]")
 
 
 class TestCurveCommands:

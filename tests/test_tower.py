@@ -200,6 +200,7 @@ def test_sfrac_div_by_even():
     assert half == SFrac(3, 0, 1) and not half.is_in_S()
     q = SFrac(A).div(SFrac(4 * DISC))
     assert q == SFrac(A, 1, 2)
+    assert SFrac(A) / SFrac(4 * DISC) == q and SFrac(6) / 2 == SFrac(3)
     assert q * SFrac(4 * DISC) == SFrac(A)
     rng = random.Random(9)
     for _ in range(60):
@@ -287,6 +288,7 @@ def test_s22_ring_randomized():
 def test_json_roundtrip():
     x = SFrac(3 * A + 1, 2, 1)
     assert SFrac.from_json(x.to_json()) == x
+    assert str(SFrac(A + 1, 2, 3)) == "(a + 1)/(8*D^2)"
     y = S2Elem(1, SFrac(A, 1), 3)
     assert S2Elem.from_json(y.to_json()) == y
     z = tower_reduce({(1, 4, 2): 3, (0, 0, 1): -1})
