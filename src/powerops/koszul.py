@@ -19,6 +19,8 @@ coefficients).  Truncating by word degree gives finite free complexes whose
 blocks are matrices over Z[a]; homology is read off after base change to a
 principal ideal domain (Q[a], F2[a], or Z when a block is constant).
 
+The columns of d0 are the images of the basis vectors of M under every
+admissible word, one walk (`opmodules._basis_images`) per basis vector.
 Each column of d1 and d2 is listed as a sum of products of a monomial, a
 coefficient and letters, which the straightening engine accumulates on its
 packed Z[a] (`opalgebra._straighten_sums`) and unpacks once per nonzero
@@ -45,7 +47,7 @@ from __future__ import annotations
 from .poly import ZERO, ONE, A
 from .opalgebra import (Operation, RELATIONS, basis_of_degree, push_poly,
                         _straighten_sums)
-from .opmodules import (ModulePresentation, omega_power, act,
+from .opmodules import (ModulePresentation, omega_power, _basis_images,
                         check_well_defined)
 from .linalg import (Matrix, ZZ, QA, F2A, ring_by_name, smith_normal_form,
                      mat_mul, unit_pivot_elimination)
@@ -67,10 +69,6 @@ def _require_well_defined(module: ModulePresentation):
         first = rep["failures"][0]
         raise ValueError("module fails its defining relations "
                          "(basis %s, rule %s)" % (first["basis"], first["rule"]))
-
-
-def _mono(key) -> Operation:
-    return Operation({key: ONE})
 
 
 def _matrix(index, cols) -> Matrix:
@@ -144,10 +142,11 @@ class TruncatedComplex:
     # -- assembly -----------------------------------------------------------
 
     def _build_d0(self) -> Matrix:
-        return _matrix(range(self.module.rank),
-                       [dict(enumerate(act(self.module, _mono(key),
-                                           self.module.basis_vector(l))))
-                        for key, l in self.p0_basis])
+        m = self.module
+        images = [_basis_images(m, self.k_max, m.basis_vector(l))
+                  for l in range(m.rank)]
+        return _matrix(range(m.rank), [dict(enumerate(images[l][key]))
+                                       for key, l in self.p0_basis])
 
     def _d1_column(self, key, i, l):
         """Column (key, i, l) of d1 as (mono, p, letters, tail) items:

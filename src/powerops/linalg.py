@@ -188,17 +188,23 @@ def ring_by_name(name: str):
 
 def mat_mul(ring, a: Matrix, b: Matrix) -> Matrix:
     """a @ b in row order: each nonzero a[i][t] adds a[i][t] * (row t of b)
-    into row i, over the nonzero entries of that row only.  Every entry
-    type (int, coefficient tuple, Poly) is falsy exactly at zero."""
+    into row i, over the nonzero entries of that row only, which are
+    collected when a nonzero of a first reaches row t; a row of b that no
+    nonzero of a reaches is never read.  Every entry type (int,
+    coefficient tuple, Poly) is falsy exactly at zero."""
     if a.n != b.m:
         raise ValueError("inner dimensions differ: %d vs %d" % (a.n, b.m))
     add, mul = ring.add, ring.mul
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.rows]
+    b_rows = [None] * b.m
     rows = []
     for arow in a.rows:
         acc = [ring.zero] * b.n
-        for x, brow in zip(arow, b_rows):
+        for t, x in enumerate(arow):
             if x:
+                brow = b_rows[t]
+                if brow is None:
+                    brow = b_rows[t] = [(j, y) for j, y in enumerate(b.rows[t])
+                                        if y]
                 for j, y in brow:
                     acc[j] = add(acc[j], mul(x, y))
         rows.append(acc)

@@ -3,7 +3,12 @@
 A presentation stores the three matrices of Q0, Q1, Q2 on a free R-module
 (columns are images of basis vectors).  The action on a general vector uses
 the commutation rules: Q_i(p(a) m) = sum_l c_l Q_l(m) where
-Q_i p = c0 Q0 + c1 Q1 + c2 Q2 in the operation algebra.
+Q_i p = c0 Q0 + c1 Q1 + c2 Q2 in the operation algebra; c_l is formed only
+where Q_l of that basis vector is nonzero (R, omega and omega^2 each use
+one Q_l).  `act` applies an element letter by letter; the Koszul d0 and the
+continuity sweep, which need every admissible word Q0^j Q_w of degree <= k
+on one vector, take them from one walk (`_basis_images`) that applies one
+Q per word to the image of the word one letter shorter.
 
 Shipped examples: the standard module R (Q0 acts as 1), the rank-1 module
 omega with Q1 u = -u (the reduced cohomology of the 2-sphere), its tensor
@@ -14,7 +19,7 @@ action `opalgebra.CARTAN`.
 from __future__ import annotations
 
 from .poly import Poly, ZERO, ONE, A
-from .opalgebra import CARTAN, Operation, push_poly
+from .opalgebra import CARTAN, Operation, _pushed, basis_of_degree
 
 __all__ = ["ModulePresentation", "standard_module", "omega", "omega_power",
            "omega_power_closed", "two_sphere", "act", "tensor",
@@ -137,7 +142,8 @@ def two_sphere() -> ModulePresentation:
 # --- the action -------------------------------------------------------------
 
 def apply_q(m: ModulePresentation, i: int, v):
-    """Q_i applied to a vector with Poly coefficients."""
+    """Q_i applied to a vector with Poly coefficients: Q_i(p e_k) is the sum
+    of c_l Q_l e_k, with c_l formed only where column l of e_k is nonzero."""
     if len(v) != m.rank:
         raise ValueError("vector length %d, module rank %d"
                          % (len(v), m.rank))
@@ -146,13 +152,16 @@ def apply_q(m: ModulePresentation, i: int, v):
         p = Poly(p)
         if p.is_zero():
             continue
-        coeffs = push_poly(i, p)
         for l in range(3):
-            if coeffs[l].is_zero():
-                continue
             col = m.column(l, k)
-            for row in range(m.rank):
-                out[row] = out[row] + coeffs[l] * col[row]
+            if not any(col):
+                continue
+            c = _pushed(i, p, l)
+            if c.is_zero():
+                continue
+            for row, e in enumerate(col):
+                if e:
+                    out[row] = out[row] + c * e
     return tuple(out)
 
 
@@ -171,6 +180,20 @@ def act(m: ModulePresentation, g: Operation, v):
             w = apply_q(m, 0, w)
         total = vec_add(total, vec_scale(coeff, w))
     return total
+
+
+def _basis_images(m: ModulePresentation, k_max: int, v):
+    """{key: Q0^j Q_w v} for every admissible key (j, w) of degree <= k_max,
+    one `apply_q` per key: Q0^j Q_w = Q0 Q0^(j-1) Q_w, and Q_w = Q_w[0]
+    Q_w[1:], whose image is already there one degree down."""
+    images = {(0, ()): tuple(Poly(p) for p in v)}
+    for deg in range(1, k_max + 1):
+        for j, w in basis_of_degree(deg):
+            if j:
+                images[j, w] = apply_q(m, 0, images[j - 1, w])
+            else:
+                images[j, w] = apply_q(m, w[0], images[0, w[1:]])
+    return images
 
 
 # --- tensor products --------------------------------------------------------

@@ -186,6 +186,14 @@ class TestMatMul:
             assert prod.rows == naive_product(ring, a, b)
             assert all(ring.is_zero(x) for row in prod.rows for x in row)
 
+    def test_unreached_rows_of_b_are_not_read(self):
+        class Unread:
+            def __bool__(self):
+                raise AssertionError("mat_mul read a row no entry reaches")
+        a = Matrix(2, 3, [[1, 0, 2], [0, 0, -3]])
+        b = Matrix(3, 2, [[1, 2], [Unread(), Unread()], [4, 0]])
+        assert mat_mul(ZZ, a, b).rows == [[9, 2], [-12, 0]]
+
     def test_inner_dimensions_checked(self):
         with pytest.raises(ValueError):
             mat_mul(ZZ, Matrix(1, 2, [[1, 2]]), Matrix(1, 1, [[1]]))

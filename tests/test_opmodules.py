@@ -5,12 +5,16 @@ import random
 import pytest
 
 from powerops.poly import Poly, A, ZERO, ONE
-from powerops.opalgebra import Operation, normal_form, psi
+from powerops import opmodules
+from powerops.opalgebra import (Operation, normal_form, psi, push_poly,
+                                basis_of_degree)
 from powerops.opmodules import (ModulePresentation, standard_module, omega,
                                 omega_power, omega_power_closed, two_sphere,
                                 act, apply_q, tensor, check_well_defined,
                                 psi_on_tensor, swap_is_isomorphism, kron_vec,
-                                vec_scale)
+                                vec_scale, _basis_images)
+from powerops.koszul import build_complex
+from powerops.amplified import scalars_continuity_check
 from tests.test_opalgebra import rand_operation
 
 
@@ -156,3 +160,85 @@ class TestSerialization:
         assert kron_vec(v, w) == pv(3, 5, 6, 10)
         assert kron_vec(vec_scale(A, v), w) == tuple(A * c
                                                      for c in pv(3, 5, 6, 10))
+
+
+def _walk_modules():
+    return [standard_module(), omega(), omega_power(2), omega_power(3),
+            two_sphere(), tensor(two_sphere(), two_sphere())]
+
+
+def _vectors(rank):
+    """Two vectors with nonconstant entries, and one that is zero but in
+    its last entry."""
+    entries = [A + 2, 3 * A * A - 1, A * A * A - 4 * A, Poly(-5)]
+    return [tuple(entries[(k + s) % 4] for k in range(rank))
+            for s in range(2)] + [(ZERO,) * (rank - 1) + (A - 7,)]
+
+
+class _CountingApplyQ:
+    """Counts the calls to opmodules.apply_q while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        inner = opmodules.apply_q
+
+        def counted(*args):
+            self.calls += 1
+            return inner(*args)
+        monkeypatch.setattr(opmodules, "apply_q", counted)
+
+
+class TestBasisWalk:
+    """`_basis_images` against `act`, `apply_q` against the full formula,
+    and the number of `apply_q` calls each walk makes."""
+
+    def test_walk_matches_act(self):
+        keys = [key for d in range(5) for key in basis_of_degree(d)]
+        for m in _walk_modules():
+            for v in _vectors(m.rank):
+                images = _basis_images(m, 4, v)
+                assert sorted(images) == sorted(keys)
+                for key in keys:
+                    assert images[key] == act(m, Operation({key: ONE}), v), \
+                        (m.to_json(), key)
+
+    def test_apply_q_matches_full_formula(self):
+        for m in _walk_modules():
+            for v in _vectors(m.rank):
+                for i in range(3):
+                    want = [ZERO] * m.rank
+                    for k, p in enumerate(v):
+                        coeffs = push_poly(i, p)
+                        for l in range(3):
+                            col = m.column(l, k)
+                            for row in range(m.rank):
+                                want[row] = want[row] + coeffs[l] * col[row]
+                    assert apply_q(m, i, v) == tuple(want)
+
+    def test_d0_walks_once_per_basis_vector(self, monkeypatch):
+        cx = build_complex(omega(), 5)
+        counter = _CountingApplyQ(monkeypatch)
+        assert cx._build_d0() == cx.d0
+        # one call per admissible key of degree 1..5: 3 + 7 + 15 + 31 + 63
+        assert counter.calls == 119
+
+    def test_continuity_walks_once_per_input(self, monkeypatch):
+        counter = _CountingApplyQ(monkeypatch)
+        report = scalars_continuity_check(4, 6)
+        # 2 inputs x 7 powers of a, 56 keys of degree 1..4 each
+        assert counter.calls == 784
+        failures = []
+        for deg in range(5):
+            for key in basis_of_degree(deg):
+                g = Operation({key: ONE})
+                for k in range(7):
+                    out = act(standard_module(), g, (Poly(2).shift(k),))[0]
+                    if not out.divisible_by_int(2):
+                        failures.append((key, "2 a^%d" % k, str(out)))
+                    out = act(standard_module(), g, (Poly(1).shift(3 + k),))[0]
+                    if out.constant_term() % 2:
+                        failures.append((key, "a^%d" % (3 + k), str(out)))
+        assert failures  # the sweep's standing witnesses, in order
+        assert [(tuple(f["monomial"]), f["input"], f["output"])
+                for f in report["failures"]] == failures
+        assert report["checked"] == 57 * 7
