@@ -60,8 +60,9 @@ def q_triple_R(x) -> tuple:
 
 
 # P is a ring map R -> S2, and P(D)^-1 has only D-power denominators since
-# N D = -D^3, so P extends to S inside S2.
-_P_D_INV = S2Elem(*q_triple_R(DISC)).inv()
+# N D = -D^3, so P extends to S inside S2.  Entry n is P(D)^-n; the list
+# grows one product at a time, as far as a denominator has asked.
+_P_D_INV_POWERS = [S2Elem(1), S2Elem(*q_triple_R(DISC)).inv()]
 
 
 def p_map(x) -> S2Elem:
@@ -72,7 +73,10 @@ def p_map(x) -> S2Elem:
         raise ValueError("P is defined on S; got a half-integral element")
     out = S2Elem(*q_triple_R(x.num))
     if x.dpow:
-        out = out * _P_D_INV ** x.dpow
+        powers = _P_D_INV_POWERS
+        while len(powers) <= x.dpow:
+            powers.append(powers[-1] * powers[1])
+        out = out * powers[x.dpow]
     return out
 
 

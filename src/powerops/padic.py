@@ -60,8 +60,8 @@ class PadicElem:
             raise ValueError("2 is not invertible in the completed ring")
         out = PadicElem.from_poly(x.num, prec2, precA)
         if x.dpow:
-            dinv = PadicElem.from_poly(DISC, prec2, precA).inv()
-            out = out * dinv ** x.dpow
+            out = out * PadicElem.from_poly(DISC ** x.dpow, prec2,
+                                            precA).inv()
         return out
 
     @staticmethod
@@ -132,6 +132,10 @@ class PadicElem:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int:
+            # a scaling, as by the coefficients in `log_half`
+            return PadicElem([c * other for c in self.res], self.prec2,
+                             self.precA)
         other, n, m = self._common(other)
         if other is None:
             return NotImplemented
@@ -205,18 +209,19 @@ class PadicElem:
 def log_half(x: PadicElem) -> "PadicElem":
     """(1/2) * log(1 + 2x) as an element of the completed ring.
 
-    Sums sum_k (-1)^(k-1) 2^(k-1) x^k / k until every omitted term has
-    2-valuation >= x.prec2.  Needs x itself, not 1+2x, so no halving occurs
+    Sums sum_k (-1)^(k-1) 2^(k-1) x^k / k up to the last k whose term
+    survives mod 2^x.prec2.  Needs x itself, not 1+2x, so no halving occurs
     and the full 2-adic precision of x survives.
     """
     n = x.prec2
     mod = 1 << n
+    # The k-th term has 2-valuation at least k - 1 - v2(k), which is
+    # k - (k & -k).bit_length(), and n or more for every k >= 2n + 2.
+    last = max(k for k in range(1, 2 * n + 2)
+               if k - (k & -k).bit_length() < n)
     total = PadicElem.zero(n, x.precA)
     xk = PadicElem.one(n, x.precA)
-    k = 1
-    while True:
-        if k - k.bit_length() >= n:
-            break
+    for k in range(1, last + 1):
         xk = xk * x
         v2 = (k & -k).bit_length() - 1
         shift = k - 1 - v2
@@ -225,6 +230,5 @@ def log_half(x: PadicElem) -> "PadicElem":
             coeff = ((1 << shift) * unit) % mod
             if k % 2 == 0:
                 coeff = -coeff
-            total = total + xk * PadicElem([coeff], n, x.precA)
-        k += 1
+            total = total + xk * coeff
     return total

@@ -62,7 +62,8 @@ class SFrac:
             tpow = max(tpow, 0)
         if num.is_zero():
             dpow = tpow = 0
-        while dpow > 0:
+        # D(3) = 0, so D divides num only if num(3) = 0
+        while dpow > 0 and not num.evaluate(3):
             quo, rem = num.divmod_monic(DISC)
             if not rem.is_zero():
                 break

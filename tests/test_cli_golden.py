@@ -110,6 +110,8 @@ CASES = [
     ["nf", "Q2 Q0^6"],
     ["mul", "Q1 a^108", "Q2 a^84"],
     ["nf", "Q1^255 Q0", "--json"],
+    ["ell", "1 + 2 a + a^3", "--prec2", "64", "--precA", "48"],
+    ["ell", "1 + 2 a + a^3", "--prec2", "64", "--precA", "48", "--json"],
 ]
 
 

@@ -7,15 +7,18 @@ term dicts, either part of the pair None until it is asked for.  The
 engines read the cached dicts themselves, so these tests warm the caches
 up, copy every cached term dict, compute again (and with values built on
 the cached dicts), and check that every copy still equals the dict it was
-taken from.
+taken from.  `normlog.p_map` keeps the powers P(D)^-n in one list, which
+is checked the same way.
 """
 
-from powerops import opalgebra
+from powerops import normlog, opalgebra
 from powerops.amplified import AmplifiedRing, _wrap
 from powerops.koszul import build_complex
+from powerops.normlog import NormContext, p_map
 from powerops.opalgebra import normal_form
 from powerops.opmodules import omega
 from powerops.poly import A
+from powerops.tower import S2Elem, SFrac
 
 
 def work(ring):
@@ -63,4 +66,20 @@ def test_caches_are_never_mutated():
             u + v, u - v, u * v
     for u in amps[:4]:
         ring.theta(u + u), ring.q(1, u)
+    assert all(cached == copy for cached, copy in held)
+
+
+def test_p_d_inverse_powers_are_never_mutated():
+    ctx = NormContext("S")
+    p_map(SFrac(1 + 2 * A, 6))
+    powers = normlog._P_D_INV_POWERS
+    held = [(p, S2Elem.from_json(p.to_json())) for p in powers]
+    assert len(held) >= 7
+    for n in range(9):
+        x = SFrac(A ** 2 - 5, n)
+        p_map(x), ctx.norm_N(x), ctx.psi_value(x), ctx.m_value(SFrac(1, n))
+    for u in powers[:5]:
+        for v in powers[:5]:
+            u + v, u - v, u * v, -u
+        u.inv(), u * 2
     assert all(cached == copy for cached, copy in held)

@@ -15,6 +15,7 @@ from powerops.tower import SFrac, S2Elem, TARGET_A
 from powerops.padic import PadicElem, PrecisionError
 from powerops.opalgebra import Operation, psi
 from powerops.opmodules import standard_module, act
+from powerops import normlog
 from powerops.normlog import (
     NormContext, norm_multiplicativity_check,
     linearization_check, norm_congruence_check,
@@ -215,6 +216,19 @@ class TestActionOnLocalizedHost:
             assert q_triple_S(SFrac(x, dpow)) == want.c
             if not dpow:
                 assert tuple(map(SFrac, q_triple_R(x))) == want.c
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_p_map_on_each_power_of_d(self, order, monkeypatch):
+        # the list of P(D)^-n starts from n <= 1 and grows in the order the
+        # denominators ask for it
+        monkeypatch.setattr(normlog, "_P_D_INV_POWERS",
+                            normlog._P_D_INV_POWERS[:2])
+        p_d_inv = S2Elem(*q_triple_R(DISC)).inv()
+        dpows = range(9) if order == "ascending" else range(8, -1, -1)
+        for n in dpows:
+            for f in (1 + 2 * A + A ** 3, A - 3, DISC * (A + 1)):
+                want = S2Elem(*q_triple_R(f)) * p_d_inv ** n
+                assert p_map(SFrac(f, n)) == want
 
     def test_q_values_reach_denominators(self):
         # P(1/D) = P(D)^(-1), so the Q-values of 1/D carry denominator D^2

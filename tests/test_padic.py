@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from powerops import padic
 from powerops.padic import PadicElem, PrecisionError, log_half
 from powerops.poly import Poly, A, DISC
 from powerops.tower import SFrac
@@ -74,6 +75,30 @@ def test_from_sfrac():
         PadicElem.from_sfrac(SFrac(1, 0, 1), 12, 8)
 
 
+@pytest.mark.parametrize("prec", [(1, 1), (5, 3), (20, 16), (64, 40)])
+def test_from_sfrac_is_the_numerator_over_the_power_of_d(prec):
+    # the embedding of f / D^n is the embedding of f times that of D
+    # inverted, to the n-th power
+    f = 1 + 2 * A + A ** 3
+    d_inv = PadicElem.from_poly(DISC, *prec).inv()
+    for n in range(9):
+        want = PadicElem.from_poly(f, *prec) * d_inv ** n
+        assert PadicElem.from_sfrac(SFrac(f, n), *prec) == want
+
+
+BIG = (1 << 299) + 12345  # a 300-bit int
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 2 ** 20 + 1, -(2 ** 20 + 1), BIG,
+                               -BIG])
+@pytest.mark.parametrize("prec", [(1, 1), (20, 16), (64, 40)])
+def test_int_scaling_is_the_product_with_a_constant(k, prec):
+    x = PadicElem.from_poly(Poly([7, -3, 0, 1 << 40, -5]), *prec)
+    want = x * PadicElem([k], *prec)
+    assert x * k == want and k * x == want
+    assert ((x * k).prec2, (x * k).precA) == prec
+
+
 # --- the logarithm series ---------------------------------------------------
 
 def oracle_log_half_int(x_int, n):
@@ -109,6 +134,33 @@ def test_log_half_random_ints_vs_oracle():
         m = rng.randint(-20, 20)
         got = log_half(PadicElem([m], prec2=14, precA=1))
         assert got.res[0] == oracle_log_half_int(m, 14)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_log_half_at_every_precision_vs_oracle(n):
+    # from n = 5 on, some x^k is formed for a later term but adds nothing
+    # itself (k = 7 at n = 5), and the last few k that the loop visits may
+    # add nothing (k = 21 to 24 at n = 20)
+    for m in (-3, 2, 5):
+        got = log_half(PadicElem([m], prec2=n, precA=1))
+        assert got.res[0] == oracle_log_half_int(m, n)
+
+
+def test_log_half_forms_one_product_per_summed_term(monkeypatch):
+    products = []
+    dense_mul = padic._dense_mul
+
+    def counted(*args):
+        products.append(args)
+        return dense_mul(*args)
+
+    monkeypatch.setattr(padic, "_dense_mul", counted)
+    log_half(PadicElem.from_poly(A + 2 * A ** 3 - 5 * A ** 7, 20, 16))
+    # the terms 2^(k-1) x^k / k that survive mod 2^20: k - 1 - v2(k) < 20
+    summed = [k for k in range(1, 64)
+              if k - 1 - ((k & -k).bit_length() - 1) < 20]
+    assert summed == list(range(1, 21))
+    assert len(products) == len(summed)
 
 
 def test_log_half_additivity():

@@ -135,6 +135,59 @@ def test_sfrac_minimal_form():
     assert SFrac(0, 5, 5) == SFrac(0)
 
 
+# --- the D-normalization skips divisions that cannot succeed ----------------
+
+def divided_out(num, dpow):
+    """Oracle: (num, dpow) after dividing by D while the remainder is zero,
+    with no test of num(3) first."""
+    while dpow:
+        quo, rem = num.divmod_monic(DISC)
+        if not rem.is_zero():
+            break
+        num, dpow = quo, dpow - 1
+    return num, dpow
+
+
+# f(3) = 34, 0, 0 and 27 * 19: the first has neither factor of
+# D = (a - 3)(a^2 + 3a + 9), the next two vanish at 3 through a - 3 alone,
+# and the last is a multiple of a^2 + 3a + 9 alone
+COFACTORS = (1 + 2 * A + A ** 3, (A - 3) * (A + 1), (A - 3) ** 2,
+             (A ** 2 + 3 * A + 9) * (A + 16))
+
+
+@pytest.mark.parametrize("f", COFACTORS, ids=str)
+def test_d_normalization_matches_division_while_exact(f):
+    for j in range(4):
+        for dpow in range(6):
+            x = SFrac(DISC ** j * f, dpow)
+            assert (x.num, x.dpow) == divided_out(DISC ** j * f, dpow)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-30, 30), max_size=6).map(Poly),
+       st.integers(0, 3), st.integers(0, 5))
+def test_d_normalization_matches_oracle_on_drawn_numerators(f, j, dpow):
+    x = SFrac(DISC ** j * f, dpow)
+    assert (x.num, x.dpow) == divided_out(DISC ** j * f, dpow)
+
+
+def test_no_division_by_d_where_num_at_3_is_nonzero(monkeypatch):
+    divisions = []
+    divmod_monic = Poly.divmod_monic
+
+    def counted(self, divisor):
+        divisions.append(self)
+        return divmod_monic(self, divisor)
+
+    monkeypatch.setattr(Poly, "divmod_monic", counted)
+    f = A ** 2 + 1  # f(3) = 10
+    x = SFrac(f, 5)
+    assert (x.num, x.dpow) == (f, 5) and divisions == []
+    # two exact divisions, then f(3) != 0 stops the loop without a third
+    x = SFrac(DISC ** 2 * f, 5)
+    assert (x.num, x.dpow) == (f, 3) and len(divisions) == 2
+
+
 def test_sfrac_ring_axioms():
     rng = random.Random(5)
 
