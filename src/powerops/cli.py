@@ -268,36 +268,29 @@ def _vector(m: ModulePresentation, text: str):
 # --- formatting -------------------------------------------------------------
 
 _LABELS = {"z": "Z", "q": "Q", "f2": "F2"}
-# omega's complex takes 0.7 s to assemble at degree 7, 45 s at 8 (2 vCPUs).
+# Each limit keeps a cold command within seconds; the README ("Command-line
+# interface") gives the measured times at each limit and past it.
+# The rank of the Koszul complex doubles with each degree of --kmax.
 _KMAX_LIMIT = 7
-# Tor at k = 256 takes seconds and at 512 minutes; the isogeny series
-# seconds at order 64 and half a minute at 96.
+# Tor's cost grows with k, and the isogeny series' with its order.
 _K_LIMIT = 256
 _ORDER_LIMIT = 64
-# The work of theta grows with the a-degree times `_theta_size`.  Cold,
-# at a-degree 256, theta "a^256 x^16" (size 969) takes 0.9 s and the
-# dense a^0 x^16 + ... + a^256 x^16 2.3 s; at size 1771 (x^20) they take
-# 1.8 s and 4.6 s, and at size 14 000 theta runs out of 2 GB.
+# The work of theta grows with the a-degree times `_theta_size`.
 _THETA_GEN_TERMS = (4, 12, 106)
 _THETA_LIMIT = 1024
-# The norm of a^256 takes a second and of a^400 four; at --prec2 256
-# --precA 256 the logarithm of 1 + a^256 takes 4 s.  Dense inputs of
-# degree 256 take 5 s (norm) and 14 s (logarithm).
+# The norm and the logarithm grow with the degree in a, d and d'.
 _DEGREE_LIMIT = 256
-# At 2^19 bits in a term, nf takes 1 s and mul and norm 3 s; at 2^20, 12 s.
+# Arithmetic on the input's integers grows with their bits.
 _BITS_LIMIT = 1 << 19
-# nf "a^16384 Q1" takes 1 s, but a Q letter on a^k costs about k^3:
-# nf "Q1 a^255" takes 0.3 s, "Q1 a^511" 2 s and "Q1 a^1023" 17 s.
+# A Q letter on a^k costs about k^3.
 _LETTERS = ("a", "Q0", "Q1", "Q2")
 _LETTER_LIMIT = 256
-# At straightening size 2^20, nf "Q0^6 a^2" takes 3.7 s cold, "Q2^6 a^2"
-# 1.7 s and "Q2^7 Q0" 1.2 s; at 2^21, "Q0^7 a" takes 12 s, and at 2^23
-# "Q2^8 Q0" over a minute and mul "Q1 a^255" "Q2 a^255" 15 s.
+# Straightening grows with the size `_scan` bounds.
 _PUSH_LIMIT = 1 << 21
-# tensor omega^512 omega^512 takes 2 s and omega^800 omega^800 7 s.
+# A module takes one tensor product per factor, on coefficients whose
+# degree grows with each.
 _OMEGA_LIMIT = 512
-# The logarithm takes seconds at --prec2 256 --precA 256, and its cost grows
-# with both: 17 s at 512 and 256, 21 s at 256 and 512.
+# The logarithm's cost grows with both precisions.
 _PREC2_LIMIT = 256
 _PRECA_LIMIT = 256
 _RING_NAMES = {"Z": "Z", "Q": "Q[a]", "F2": "F2[a]"}

@@ -233,11 +233,7 @@ def q_series_on_u(order: int = DEFAULT_ORDER):
     comps = ([], [], [])
     for coeff in u2.coeffs:
         for k in range(3):
-            frac = coeff.c[k]
-            if not frac.is_in_R():
-                raise ArithmeticError(
-                    "component %s of %s is not polynomial" % (k, coeff))
-            comps[k].append(frac.num)
+            comps[k].append(_require_polynomial(coeff.c[k]))
     return tuple(Series(comps[k], u2.order, ZERO) for k in range(3))
 
 

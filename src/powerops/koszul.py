@@ -23,7 +23,7 @@ The columns of d0 are the images of the basis vectors of M under every
 admissible word, one walk (`opmodules._basis_images`) per basis vector.
 Each column of d1 and d2 is listed as a sum of products of a monomial, a
 coefficient and letters, which the straightening engine accumulates on its
-packed Z[a] (`opalgebra._straighten_sums`) and unpacks once per nonzero
+packed Z[a] (`opalgebra._placed_sum`) and unpacks once per nonzero
 entry; the matrices themselves are dense `Matrix` objects of `Poly`.
 
 Homology takes one route.  Once d1 d2 = 0 is checked exactly, each map is
@@ -45,8 +45,8 @@ leading g x 3g block of d1 and 3g x 2g block of d2, g the rank of M.
 from __future__ import annotations
 
 from .poly import ZERO, ONE, A
-from .opalgebra import (Operation, RELATIONS, basis_of_degree, push_poly,
-                        _straighten_sums)
+from .opalgebra import (Operation, RELATIONS, GAMMA_RANKS, basis_of_degree,
+                        push_poly, _straighten, _placed_sum)
 from .opmodules import (ModulePresentation, omega_power, _basis_images,
                         check_well_defined)
 from .linalg import (Matrix, ZZ, QA, F2A, ring_by_name, smith_normal_form,
@@ -127,7 +127,7 @@ class TruncatedComplex:
 
     def _count(self, max_deg: int, per: int) -> int:
         g = self.module.rank
-        return sum((2 ** (d + 1) - 1) * per * g
+        return sum(GAMMA_RANKS(d) * per * g
                    for d in range(max(max_deg, -1) + 1))
 
     def p0_size(self, cap: int) -> int:
@@ -171,12 +171,14 @@ class TruncatedComplex:
         return items
 
     def _build_d1(self) -> Matrix:
-        return _matrix(self._p0_index, _straighten_sums(
-            [self._d1_column(*b) for b in self.p1_basis]))
+        return _matrix(self._p0_index, [
+            _straighten(_placed_sum, self._d1_column(*b))
+            for b in self.p1_basis])
 
     def _build_d2(self) -> Matrix:
-        return _matrix(self._p1_index, _straighten_sums(
-            [self._d2_column(*b) for b in self.p2_basis]))
+        return _matrix(self._p1_index, [
+            _straighten(_placed_sum, self._d2_column(*b))
+            for b in self.p2_basis])
 
     # -- access -------------------------------------------------------------
 

@@ -12,7 +12,7 @@ polynomial with SFrac coefficients in its generators.
 
 from __future__ import annotations
 
-from .poly import power
+from .poly import power, _merge
 
 __all__ = ["MPoly"]
 
@@ -34,20 +34,6 @@ def _terms(x):
     if isinstance(x, MPoly):
         return x.terms
     return {(): x} if x else {}
-
-
-def _add_into(out, terms, factor=None):
-    """out += terms * factor, for dicts of monomial -> coefficient."""
-    for m, c in terms.items():
-        if factor is not None:
-            c = c * factor
-        cur = out.get(m)
-        if cur is not None:
-            c = cur + c
-        if c:
-            out[m] = c
-        elif cur is not None:
-            del out[m]
 
 
 def _trusted(terms):
@@ -83,7 +69,7 @@ class MPoly:
         coefficient, accumulated in one table."""
         out = {}
         for p, c in pairs:
-            _add_into(out, p.terms, c)
+            _merge(out, p.terms, c)
         return _trusted(out)
 
     def is_zero(self) -> bool:
@@ -105,9 +91,7 @@ class MPoly:
         y = _terms(other)
         if not y:
             return self
-        out = dict(self.terms)
-        _add_into(out, y)
-        return _trusted(out)
+        return _trusted(_merge(dict(self.terms), y))
 
     __radd__ = __add__
 
@@ -122,8 +106,8 @@ class MPoly:
             return MPoly.combination([(self, other)])
         out = {}
         for m1, c1 in self.terms.items():
-            _add_into(out, {_mono_mul(m1, m2): c2
-                            for m2, c2 in other.terms.items()}, c1)
+            _merge(out, {_mono_mul(m1, m2): c2
+                         for m2, c2 in other.terms.items()}, c1)
         return _trusted(out)
 
     __rmul__ = __mul__
@@ -133,15 +117,11 @@ class MPoly:
             raise ValueError("negative power")
         return power(self, n, MPoly.const(1))
 
-    def substitute(self, values: dict, one=1):
-        """Evaluate with each named variable replaced by values[name].
-
-        `one` supplies the multiplicative unit of the target ring so that
-        constant terms and empty products land in it.
-        """
-        total = 0 * one
+    def substitute(self, values: dict):
+        """Evaluate with each named variable replaced by values[name]."""
+        total = 0
         for mono, c in self.terms.items():
-            term = c * one
+            term = c
             for name, e in mono:
                 term = term * values[name] ** e
             total = total + term

@@ -35,7 +35,8 @@ import itertools
 import random
 from functools import lru_cache
 
-from .poly import Poly, A, ONE, ZERO, format_terms, summands, _trusted
+from .poly import (Poly, A, ONE, ZERO, format_terms, summands, _trusted,
+                   _merge)
 
 __all__ = ["Operation", "normal_form", "psi", "COMMUTATION", "RELATIONS",
            "CARTAN", "basis_of_degree",
@@ -111,20 +112,6 @@ def psi() -> Operation:
 _width, _table = 64, {}
 
 
-def _merge(target, source, factor=None):
-    """target += factor * source, for terms with int or Poly values."""
-    for mono, c in source.items():
-        if factor is not None:
-            c = c * factor
-        cur = target.get(mono)
-        new = c if cur is None else cur + c
-        if not new:
-            target.pop(mono, None)
-        else:
-            target[mono] = new
-    return target
-
-
 def _pack(p: Poly) -> int:
     """p(2^W)."""
     n = 0
@@ -167,15 +154,10 @@ def _straighten(compute, *args):
     return {key: _unpack(c) for key, c in terms.items() if c}
 
 
-def _straighten_sums(sums):
-    """For each list of (mono, p, letters, tail) items, the sum of
-    mono * p * letters with each monomial m of it placed at (m, *tail), as
-    {(m, *tail): Poly}."""
-    return [_straighten(_placed_sum, items) for items in sums]
-
-
 def _placed_sum(items):
-    """The packed sum of `_straighten_sums`, with its L1 bound."""
+    """The packed sum of mono * p * letters over the (mono, p, letters,
+    tail) items, each monomial m of it placed at (m, *tail), with its L1
+    bound; `_straighten` unpacks it to {(m, *tail): Poly}."""
     out, total = {}, 0
     for mono, p, letters, tail in items:
         terms, bound = _times_word(*_times_poly({mono: 1}, 1, p.coeffs),
@@ -551,10 +533,8 @@ def _reduce_word(word, pick, memo):
     return result
 
 
-def _naive_reduce(terms, pick, memo=None):
+def _naive_reduce(terms, pick, memo):
     """Reduce {word: int} to normal form, choosing redexes with `pick`."""
-    if memo is None:
-        memo = {}
     out = {}
     for word, c in terms.items():
         for w2, c2 in _reduce_word(word, pick, memo).items():

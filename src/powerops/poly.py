@@ -262,6 +262,22 @@ def power(x, n: int, one):
     return out
 
 
+def _merge(target, source, factor=None):
+    """target += factor * source for sparse terms, dicts of key -> ring
+    element whose zero is falsy; a term that cancels is dropped.  Returns
+    target."""
+    for key, c in source.items():
+        if factor is not None:
+            c = c * factor
+        cur = target.get(key)
+        new = c if cur is None else cur + c
+        if not new:
+            target.pop(key, None)
+        else:
+            target[key] = new
+    return target
+
+
 def _dense_mul(x, y, n=None, zero=0):
     """The product of two dense coefficient sequences (index = exponent) as
     a list, cut to its first n coefficients when n is given; `zero` is the

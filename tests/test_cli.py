@@ -349,6 +349,42 @@ class TestStraighteningProfile:
                                     Operation.from_word(list(left)) * op)
 
 
+class TestEngineFacts:
+    # the size limits read facts of the engines that cli keeps as data of
+    # its own; each is computed here from the engine it was read from
+
+    def test_theta_gen_terms(self):
+        # the distinct a-free monomials of the Q-triple of theta^j Q_w x in
+        # theta's window, at its largest over the generators whose Q-triple
+        # stays in the window
+        from powerops.amplified import WindowOverflowError, _grouped
+        from powerops.cli import _THETA_GEN_TERMS
+        ring = AmplifiedRing(theta_depth=3, word_depth=4)
+        most = [0, 0, 0]
+        for j in range(3):
+            for n in range(5):
+                for w in itertools.product((1, 2), repeat=n):
+                    try:
+                        triple = ring._q_gen((j, w))
+                    except WindowOverflowError:
+                        continue
+                    monos = set().union(*map(_grouped, triple))
+                    most[j] = max(most[j], len(monos))
+        assert tuple(most) == _THETA_GEN_TERMS == (4, 12, 106)
+
+    def test_pushed_degrees(self):
+        # row d: the largest degree of each component of push_through(i, e)
+        # over e <= d (-1 while every one is zero)
+        from powerops.cli import _pushed_degrees
+        from powerops.opalgebra import push_through
+        most = [[-1] * 3 for _ in range(3)]
+        for d in range(257):
+            for i in range(3):
+                for k, c in enumerate(push_through(i, d)):
+                    most[i][k] = max(most[i][k], c.degree())
+            assert _pushed_degrees(d) == tuple(map(tuple, most)), d
+
+
 class TestInternalErrors:
     # exit 2 is for malformed input only: an exception that escapes a
     # handler is a bug, whatever its type

@@ -58,9 +58,9 @@ def test_substitute_into_polynomial_ring():
     q0 = MPoly.var("q0")
     a = MPoly.var("a")
     p = q0 ** 2 + 2 * a * q0
-    val = p.substitute({"q0": A + 1, "a": A}, one=Poly(1))
+    val = p.substitute({"q0": A + 1, "a": A})
     assert val == (A + 1) * (A + 1) + 2 * A * (A + 1)
-    assert MPoly().substitute({"q0": A}, one=Poly(1)) == Poly(0)
+    assert MPoly().substitute({"q0": A}) == Poly(0)
 
 
 def test_string_form():

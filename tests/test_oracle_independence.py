@@ -1,0 +1,77 @@
+"""The independent oracles share no code with the engines they check.
+
+The naive rewriter of `check_confluence` checks the packed straightening
+engine, and `WitnessModel` checks the packed amplified ring.  A helper
+that an oracle and its engine both called would agree with itself, so
+these tests read, with `ast`, the names each oracle's source uses.
+"""
+
+import ast
+import inspect
+
+from powerops import amplified, mpoly, opalgebra
+
+NAIVE_REWRITER = ("_RULES", "_redexes", "_rewrite_once", "_reduce_word",
+                  "_naive_reduce", "_word_table_to_operation")
+STRAIGHTENING = {"_merge", "_pack", "_unpack", "_straighten", "_mono_times",
+                 "_mono_image", "_raw_multiply", "_placed_sum", "_table",
+                 "COMMUTATION", "RELATIONS"}
+PACKED_AMPLIFIED = {"_products", "_sum", "_cartan", "_CARTAN", "_packed",
+                    "_grouped", "_peel", "_key", "_wrap", "_theta_scalar"}
+
+
+def definitions(module, names):
+    """The top-level definitions (def, class or assignment) of the given
+    names in module's source, as ast nodes."""
+    found = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
+        else:
+            continue
+        if name in names:
+            found[name] = node
+    assert set(found) == set(names)
+    return found.values()
+
+
+def used_names(nodes):
+    """The names the nodes read: bare names, and attributes of anything but
+    self (a method of the oracle's own, like `WitnessModel._cartan`, is its
+    own copy)."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and not (
+                    isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                out.add(sub.attr)
+    return out
+
+
+def test_mpoly_imports_only_from_poly():
+    tree = ast.parse(inspect.getsource(mpoly))
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            sources.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            sources.add("." * node.level + (node.module or ""))
+    assert sources == {".poly"}
+
+
+def test_witness_model_names_no_packed_helper():
+    used = used_names(definitions(amplified, ["WitnessModel"]))
+    assert "MPoly" in used
+    assert not used & PACKED_AMPLIFIED
+
+
+def test_naive_rewriter_names_no_straightening_helper():
+    used = used_names(definitions(opalgebra, NAIVE_REWRITER))
+    assert "_reduce_word" in used
+    shared = {n for n in used if n in STRAIGHTENING or n.startswith("_times")}
+    assert not shared
