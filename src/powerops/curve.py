@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import add
 
-from .poly import Poly, ZERO, ONE, A, format_terms
+from .poly import Poly, ZERO, ONE, A, format_terms, _series_reciprocal
 from .series import Series
 from .tower import SFrac, S2Elem, S22Elem, TARGET_A
 from .opalgebra import CARTAN, Operation, normal_form, push_through, psi
@@ -69,9 +69,7 @@ class ChartPoint:
     def curve_residual(self, a_coeff) -> Series:
         """v^2 + a_coeff*u*v + v - u^3; the zero series iff P is on the curve."""
         u, v = self.u, self.v
-        order = min(u.order, v.order)
-        one_v = v + _const(self.v.zero, order, self.v.zero)
-        return v * v + (u * v).scale(a_coeff) + one_v - u * u * u
+        return v * v + v - u * (u * u - v.scale(a_coeff))
 
 
 class OrderTwoDatum:
@@ -115,21 +113,30 @@ class IsogenyData:
 
 
 def curve_v_series(order: int = DEFAULT_ORDER) -> Series:
-    """The series v(u) = u^3 + ... solving v^2 + a*u*v + v = u^3.
+    """The series v(u) = u^3 + ... solving F(v) = v^2 + (1 + a*u)*v - u^3 = 0.
 
-    Computed by the contracting iteration v <- u^3 - a*u*v - v^2, which
-    gains at least one correct coefficient per pass.
+    By Newton's step v <- v - F(v)/F'(v) from v = u^3, which is exact mod
+    u^4: a step from v exact mod u^k gives v exact mod u^n for any n <= 2k,
+    so the working order doubles each step, up to `order`.  F(v) vanishes
+    mod u^k, so 1/F'(v) is needed only mod u^(n - k); F'(v) = 2v + 1 + a*u
+    has constant term 1, so it is a unit and its reciprocal stays in Z[a].
     """
     if order < 3:
         raise ValueError("order %d is below the leading term u^3" % order)
-    u = Series.from_terms({1: ONE}, order, ZERO)
-    u3 = (u * u * u).truncate(order)
-    v = Series((), order, ZERO)
-    for _ in range(order):
-        nxt = (u3 - (u * v).scale(A) - (v * v).truncate(order)).truncate(order)
-        if nxt == v:
-            break
-        v = nxt
+    orders = []
+    while order > 4:
+        orders.append(order)
+        order = (order + 1) // 2
+    v = Series.from_terms({3: ONE}, order, ZERO)
+    for n in reversed(orders):
+        known, width = v.order, n - v.order
+        v = Series(v.coeffs, n, ZERO)
+        lin = Series.from_terms({0: ONE, 1: A}, n, ZERO)
+        resid = v * v + lin * v - Series.from_terms({3: ONE}, n, ZERO)
+        slope = (v.scale(2) + lin).truncate(width)
+        recip = Series(_series_reciprocal(slope.coeffs, width, ONE, ZERO),
+                       width, ZERO)
+        v = v - (resid.shift(-known) * recip).shift(known)
     return v
 
 
@@ -158,7 +165,7 @@ def invert_point(P: ChartPoint) -> ChartPoint:
     if P.u.valuation() != 1:
         raise ValueError("u-coordinate must vanish to exact order 1")
     w_inv = P.u.shift(-1).inverse()
-    sq = P.v * w_inv * w_inv
+    sq = P.v * (w_inv * w_inv)
     return ChartPoint(-(sq.shift(-2)),
                       -((P.v * sq * w_inv).shift(-3)))
 
@@ -197,14 +204,12 @@ def _isogeny_at(work_order: int) -> IsogenyData:
     # The target coefficient is the one unknown in the Weierstrass relation;
     # solve at the first undetermined order (u^4, where u'*v' starts), then
     # demand that the whole residual vanishes.
-    base = v2 * v2 + v2 - u2 * u2 * u2
-    cross = u2 * v2
-    a_t = -(base[4] * cross[4].inv())
-    resid = base + cross.scale(a_t)
-    if any(not c.is_zero() for c in resid.coeffs):
+    low = ChartPoint(u2.truncate(5), v2.truncate(5))
+    a_t = -(low.curve_residual(_S2_ZERO)[4] * (low.u * low.v)[4].inv())
+    data = IsogenyData(u2, v2, a_t)
+    if any(not c.is_zero() for c in data.weierstrass_residual().coeffs):
         raise ArithmeticError(
             "isogeny series satisfy no Weierstrass relation of this shape")
-    data = IsogenyData(u2, v2, a_t)
     if not data.is_integral():
         raise ArithmeticError("isogeny coefficients do not lie in S2")
     return data

@@ -291,6 +291,25 @@ def _dense_mul(x, y, n=None, zero=0):
     return out
 
 
+def _dense_square(x, n, zero=0):
+    """The first n coefficients of x*x as a list, as `_dense_mul(x, x, n,
+    zero)` gives them with half its products: each x_i*x_j with i < j is
+    formed once, the sum of them at each exponent is doubled, and the
+    squares x_i*x_i are added last.  Zero coefficients of x are skipped."""
+    size = min(n, 2 * len(x) - 1)
+    out = [zero] * size
+    half = x[:(size + 1) // 2]
+    for i, xi in enumerate(half):
+        if xi:
+            for k, xj in enumerate(x[i + 1:size - i], 2 * i + 1):
+                out[k] += xi * xj
+    out = [c + c if c else c for c in out]
+    for i, xi in enumerate(half):
+        if xi:
+            out[2 * i] += xi * xi
+    return out
+
+
 def _dense_divmod(x, y, divide):
     """Long division of dense coefficient sequences: the lists (q, r) with
     x = q*y + r and len(r) < len(y), where y's top coefficient is nonzero

@@ -12,7 +12,7 @@ Coefficients can live in any commutative ring whose elements support
 
 from __future__ import annotations
 
-from .poly import _dense_mul, _series_reciprocal
+from .poly import _dense_mul, _dense_square, _series_reciprocal
 
 __all__ = ["Series"]
 
@@ -71,6 +71,10 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
+        if other is self:
+            order = self.order + self.valuation()
+            return Series(_dense_square(self.coeffs, order, self.zero),
+                          order, self.zero)
         order = min(self.order + other.valuation(),
                     other.order + self.valuation())
         return Series(_dense_mul(self.coeffs, other.coeffs, order, self.zero),

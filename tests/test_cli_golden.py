@@ -77,7 +77,8 @@ CASES = [
     ["isogeny", "--order", "6"],
     ["isogeny", "--order", "4", "--json"],
     ["isogeny", "--order", "1"],
-    ["isogeny", "--order", "65"],
+    ["isogeny", "--order", "96"],
+    ["isogeny", "--order", "97"],
     ["derive"],
     ["derive", "--json"],
     [],

@@ -7,6 +7,10 @@ Display coefficients of u' through u^6 and v' through u^8 are additionally
 frozen as literal values.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 import sympy
 
@@ -87,6 +91,23 @@ def oracle_pipeline(W):
     return v, u_neg, u2, v2, a2
 
 
+def contracting_v_series(order):
+    """v(u) mod u^order by the contracting iteration v <- u^3 - (a*u + v)*v,
+    in Poly and Series arithmetic alone.  Each pass fixes at least one more
+    coefficient, so `order` passes reach the fixed point.  (a*u + v)*v is
+    a product of two distinct series, so no pass takes the square path of
+    `Series.__mul__`, which the engine's Newton step does."""
+    u = Series.from_terms({1: ONE}, order, ZERO)
+    u3 = Series.from_terms({3: ONE}, order, ZERO)
+    v = Series((), order, ZERO)
+    for _ in range(order):
+        nxt = u3 - (u.scale(A) + v) * v
+        if nxt == v:
+            return v
+        v = nxt
+    raise AssertionError("no fixed point after %d passes" % order)
+
+
 def to_sympy(x) -> sympy.Expr:
     """Engine S2Elem (or Poly) into the oracle's symbols."""
     if isinstance(x, Poly):
@@ -152,6 +173,24 @@ class TestCurveSeries:
     def test_order_too_small(self):
         with pytest.raises(ValueError):
             curve_v_series(2)
+
+    @pytest.fixture(scope="class")
+    def contracted(self):
+        return contracting_v_series(48)
+
+    # at 3 and 4 Newton's seed u^3 is the whole answer, or more than it
+    @pytest.mark.parametrize("order", range(3, 49))
+    def test_matches_contracting_iteration(self, contracted, order):
+        # the fixed point mod u^48, cut to u^order, is the one mod u^order
+        assert curve_v_series(order) == contracted.truncate(order)
+
+    def test_solves_the_curve_at_order_129(self):
+        v = curve_v_series(129)
+        u = Series.from_terms({1: ONE}, 129, ZERO)
+        resid = (u.scale(A) + v) * v + v - Series.from_terms({3: ONE}, 129,
+                                                             ZERO)
+        assert resid.order == 129
+        assert all(c.is_zero() for c in resid.coeffs)
 
 
 class TestGroupLaw:
@@ -221,7 +260,27 @@ class TestGroupLaw:
         assert fresh.e == s2(-2, (0, -1), 0)
 
 
+# The sha256 of isogeny_series at each pinned order as computed with v(u)
+# from the contracting iteration; the Newton step must give the same bytes.
+PINNED = Path(__file__).resolve().parent / "data" / "isogeny_hashes.json"
+
+
+def isogeny_digest(order):
+    """The sha256 of the sorted-key JSON {"u": ..., "v": ..., "a": ...} of
+    isogeny_series(order): u', v' and a', each written by its `to_json`."""
+    iso = isogeny_series(order)
+    text = json.dumps({"u": iso.u_series.to_json(),
+                       "v": iso.v_series.to_json(),
+                       "a": iso.a_target.to_json()}, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestIsogeny:
+    @pytest.mark.parametrize("order", [12, 24, 40, 64])
+    def test_series_are_byte_identical_to_pinned(self, order):
+        assert isogeny_digest(order) == json.loads(PINNED.read_text())[
+            str(order)]
+
     def test_recovered_target_coefficient(self):
         iso = isogeny_series(8)
         assert iso.a_target == TARGET_A

@@ -1,15 +1,18 @@
 """The independent oracles share no code with the engines they check.
 
 The naive rewriter of `check_confluence` checks the packed straightening
-engine, and `WitnessModel` checks the packed amplified ring.  A helper
-that an oracle and its engine both called would agree with itself, so
-these tests read, with `ast`, the names each oracle's source uses.
+engine, `WitnessModel` checks the packed amplified ring, and the
+contracting iteration in `tests/test_curve.py` checks the Newton step of
+`curve.curve_v_series`.  A helper that an oracle and its engine both
+called would agree with itself, so these tests read, with `ast`, the names
+each oracle's source uses.
 """
 
 import ast
 import inspect
+from pathlib import Path
 
-from powerops import amplified, mpoly, opalgebra
+from powerops import amplified, curve, mpoly, opalgebra
 
 NAIVE_REWRITER = ("_RULES", "_redexes", "_rewrite_once", "_reduce_word",
                   "_naive_reduce", "_word_table_to_operation")
@@ -20,22 +23,25 @@ PACKED_AMPLIFIED = {"_products", "_sum", "_cartan", "_CARTAN", "_packed",
                     "_grouped", "_peel", "_key", "_wrap", "_theta_scalar"}
 
 
-def definitions(module, names):
-    """The top-level definitions (def, class or assignment) of the given
-    names in module's source, as ast nodes."""
+def top_level(source):
+    """{name: ast node} of the top-level definitions (def, class or
+    assignment to one name) in the source text."""
     found = {}
-    for node in ast.parse(inspect.getsource(module)).body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            name = node.name
+            found[node.name] = node
         elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
-            name = node.targets[0].id
-        else:
-            continue
-        if name in names:
-            found[name] = node
-    assert set(found) == set(names)
-    return found.values()
+            found[node.targets[0].id] = node
+    return found
+
+
+def definitions(module, names):
+    """The top-level definitions of the given names in module's source, as
+    ast nodes."""
+    found = top_level(inspect.getsource(module))
+    assert set(names) <= set(found)
+    return [found[name] for name in names]
 
 
 def used_names(nodes):
@@ -75,3 +81,10 @@ def test_naive_rewriter_names_no_straightening_helper():
     assert "_reduce_word" in used
     shared = {n for n in used if n in STRAIGHTENING or n.startswith("_times")}
     assert not shared
+
+
+def test_contracting_oracle_names_no_curve_helper():
+    source = (Path(__file__).resolve().parent / "test_curve.py").read_text()
+    used = used_names([top_level(source)["contracting_v_series"]])
+    assert "Series" in used
+    assert not used & set(top_level(inspect.getsource(curve)))

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powerops.poly import Poly, A, DISC, ONE, ZERO, summands, _dense_divmod
+from powerops.poly import (Poly, A, DISC, ONE, ZERO, summands, _dense_divmod,
+                           _dense_mul, _dense_square)
+from powerops.tower import SFrac, S2Elem
 
 
 def rand_poly(rng, deg=5, size=9):
@@ -212,3 +214,38 @@ def test_dense_divmod_over_f2(x, y):
     y = [c % 2 for c in y[:4]] + [1]
     q, r = _dense_divmod(x, y, lambda c: c % 2)
     assert same(plus_times(q, y, r), x, mod=2) and len(r) < len(y)
+
+
+# --- the square kernel of truncated series products -------------------------
+
+def padded(elems, zero, most):
+    """Lists of one to `most` elements with zeros inside, behind a run of
+    up to three zeros at each end."""
+    body = st.lists(st.one_of(st.just(zero), elems), min_size=1,
+                    max_size=most)
+    ends = st.integers(0, 3)
+    return st.tuples(ends, body, ends).map(
+        lambda t: [zero] * t[0] + t[1] + [zero] * t[2])
+
+
+def assert_square_is_plain_product(x, zero):
+    # the plain product of x and a copy of x that is a distinct object
+    for n in range(1, 2 * len(x)):
+        assert _dense_square(x, n, zero) == _dense_mul(x, list(x), n, zero)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(padded(st.integers(-10 ** 6, 10 ** 6), 0, 8))
+def test_dense_square_over_z(x):
+    assert_square_is_plain_product(x, 0)
+
+
+halves = st.tuples(st.lists(st.integers(-9, 9), max_size=3),
+                   st.integers(0, 2)).map(lambda t: SFrac(Poly(t[0]), 0, t[1]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(padded(st.tuples(halves, halves, halves).map(lambda c: S2Elem(*c)),
+              S2Elem(0), 5))
+def test_dense_square_over_s2_with_halves(x):
+    assert_square_is_plain_product(x, S2Elem(0))
