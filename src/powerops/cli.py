@@ -274,7 +274,7 @@ _LABELS = {"z": "Z", "q": "Q", "f2": "F2"}
 _KMAX_LIMIT = 7
 # Tor's cost grows with k, and the isogeny series' with its order.
 _K_LIMIT = 256
-_ORDER_LIMIT = 96
+_ORDER_LIMIT = 128
 # The work of theta grows with the a-degree times `_theta_size`.
 _THETA_GEN_TERMS = (4, 12, 106)
 _THETA_LIMIT = 1024

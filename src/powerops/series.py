@@ -8,13 +8,27 @@ beyond what the operands support.
 
 Coefficients can live in any commutative ring whose elements support
 +, -, *, ==; `inverse` additionally needs .inv() on the leading coefficient.
+Products and reciprocals of series over S2 go through the packed kernel of
+`tower`; over any other ring through the dense loops of `poly`.
 """
 
 from __future__ import annotations
 
 from .poly import _dense_mul, _dense_square, _series_reciprocal
+from .tower import S2Elem, _s2_product, _s2_reciprocal
 
 __all__ = ["Series"]
+
+
+def _dense_product(x, y, n, zero):
+    return _dense_square(x, n, zero) if x is y else _dense_mul(x, y, n, zero)
+
+
+def _kernels(zero):
+    """(product, reciprocal) for coefficients of the type of zero."""
+    if type(zero) is S2Elem:
+        return _s2_product, _s2_reciprocal
+    return _dense_product, _series_reciprocal
 
 
 class Series:
@@ -71,13 +85,10 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
-        if other is self:
-            order = self.order + self.valuation()
-            return Series(_dense_square(self.coeffs, order, self.zero),
-                          order, self.zero)
         order = min(self.order + other.valuation(),
                     other.order + self.valuation())
-        return Series(_dense_mul(self.coeffs, other.coeffs, order, self.zero),
+        product = _kernels(self.zero)[0]
+        return Series(product(self.coeffs, other.coeffs, order, self.zero),
                       order, self.zero)
 
     def __rmul__(self, other):
@@ -100,8 +111,9 @@ class Series:
         """Reciprocal; the constant coefficient must have .inv()."""
         if self.order == 0:
             return self
-        out = _series_reciprocal(self.coeffs, self.order,
-                                self.coeffs[0].inv(), self.zero)
+        reciprocal = _kernels(self.zero)[1]
+        out = reciprocal(self.coeffs, self.order, self.coeffs[0].inv(),
+                         self.zero)
         return Series(out, self.order, self.zero)
 
     def agrees_with(self, other: "Series", order=None) -> bool:

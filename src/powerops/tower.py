@@ -22,7 +22,8 @@ from __future__ import annotations
 from functools import reduce
 from operator import or_
 
-from .poly import Poly, A, DISC, power, summands, _dense_divmod, _trusted
+from .poly import (Poly, A, DISC, power, summands, _dense_divmod, _trim,
+                   _trusted)
 
 __all__ = ["SFrac", "S2Elem", "S22Elem", "TARGET_A", "tower_reduce",
            "parse_tower_expr"]
@@ -394,6 +395,166 @@ class S2Elem:
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
+
+
+# --- truncated products of S2-valued series ----------------------------------
+#
+# `_s2_product` multiplies two series with S2Elem coefficients over SFrac by
+# Kronecker substitution, fitted to the Z/3-grading of the curve (weights
+# a -> 2, d -> 1, u -> 1, v -> 0, so a coefficient's a-exponents in one
+# d-component are one residue mod 3).  Each operand is put over one
+# denominator 2^E * D^T, and each numerator c(a) of each d-component is split
+# as sum_r a^r * P_r(b), b = a^3, r = 0, 1, 2; each nonzero P_r is packed
+# into the int P_r(2^B).  For each output index the products of the blocks
+# are summed in 5 x 5 slots (d-power j1 + j2, residue r1 + r2), folded once
+# by a^3 = b (a shift by B) and d^3 = a*d + 2, d^4 = a*d^2 + 2*d, and
+# unpacked into signed digits.  The split is exact for any input; on graded
+# inputs each component has one nonzero block, not three, so a coefficient
+# pair costs at most nine int products on a third of the digits.
+#
+# The bound B rests on: every product of one coefficient of x with one of y
+# lands in one raw slot coefficient, and the folds send it to at most two
+# output coefficients, with weight 2 (the "+ 2" of d^3, d^4) and weight 1
+# (the "a*", which only moves it).  So every output coefficient at index k
+# is at most 2 * sum_i |x_i| * |y_(k-i)| in absolute value, where |x_i| is
+# the sum of the absolute values of x_i's scaled numerator coefficients, and
+# that is at most 2 * min(sum|x| * max|y|, max|x| * sum|y|).  Scaling by
+# 2^s multiplies |.| by 2^s, and by D^k at most by |D|^k = 28^k.  Digits in
+# [-2^(B-1), 2^(B-1)) hold every value of absolute value below 2^(B-1), so
+# B is one more than the bit length of that bound.
+
+def _s2_split(x):
+    """(E, T, rows, total, top) for the S2 series coefficients x: 2^E * D^T
+    is the common denominator, rows[i] lists (j, r, block, s, k) for each
+    nonzero block of d-component j of x[i], whose scaled numerator is
+    sum_r a^r * block_r(a^3) * 2^s * D^k, and total and top are the sum and
+    the largest of the bounds |x_i| of the comment above."""
+    comps = [c for e in x for c in e.c if c.num]
+    E = max((c.tpow for c in comps), default=0)
+    T = max((c.dpow for c in comps), default=0)
+    rows, total, top = [], 0, 0
+    for e in x:
+        row, size = [], 0
+        for j, c in enumerate(e.c):
+            coeffs = c.num.coeffs
+            if not coeffs:
+                continue
+            s, k = E - c.tpow, T - c.dpow
+            size += (sum(map(abs, coeffs)) << s) * 28 ** k
+            for r in range(3):
+                block = coeffs[r::3]
+                if any(block):
+                    row.append((j, r, block, s, k))
+        rows.append(row)
+        total += size
+        top = max(top, size)
+    return E, T, rows, total, top
+
+
+def _s2_pack(rows, bits, T):
+    """rows with each block packed at 2^bits and scaled: (j, r, int)."""
+    dpows = [((1 << bits) - 27) ** k for k in range(T + 1)]
+    out = []
+    for row in rows:
+        packed = []
+        for j, r, block, s, k in row:
+            acc = 0
+            for c in reversed(block):
+                acc = (acc << bits) + c
+            packed.append((j, r, (acc << s) * dpows[k] if k else acc << s))
+        out.append(packed)
+    return out
+
+
+def _s2_unpack(value, bits):
+    """The signed digits of value at 2^bits, each in [-2^(bits-1),
+    2^(bits-1)), lowest first, up to the last nonzero one."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while value:
+        out.append(((value + half) & mask) - half)
+        value = (value + half) >> bits
+    return out
+
+
+def _s2_numerator(q0, q1, q2, bits):
+    """The Poly sum_r a^r * q_r(a^3) from the packed q_r."""
+    digits = [_s2_unpack(q, bits) for q in (q0, q1, q2)]
+    m = max(map(len, digits))
+    coeffs = [0] * (3 * m)
+    for r, d in enumerate(digits):
+        coeffs[r:r + 3 * len(d):3] = d
+    return _trusted(_trim(coeffs))
+
+
+def _s2_accumulate(slot, xrow, yrow):
+    """slot[5 * (j1 + j2) + r1 + r2] += p * q over the packed blocks."""
+    for j1, r1, p in xrow:
+        for j2, r2, q in yrow:
+            slot[5 * (j1 + j2) + r1 + r2] += p * q
+
+
+def _s2_product(x, y, n, zero):
+    """The first n coefficients of the product of the S2 series coefficient
+    sequences x and y (index = exponent of u), as a list cut to len(x) +
+    len(y) - 1; x is y takes the square case, which forms each cross product
+    once.  Each output is built by SFrac, so it is in lowest terms and equal
+    to the schoolbook product's; `zero` is the S2 zero, given where the
+    product vanishes."""
+    square = x is y
+    Ex, Tx, xrows, xsum, xtop = _s2_split(x)
+    Ey, Ty, yrows, ysum, ytop = (Ex, Tx, xrows, xsum, xtop) if square \
+        else _s2_split(y)
+    bits = (2 * min(xsum * ytop, xtop * ysum)).bit_length() + 1
+    xp = _s2_pack(xrows, bits, Tx)
+    yp = xp if square else _s2_pack(yrows, bits, Ty)
+    dpow, tpow = Tx + Ty, Ex + Ey
+    out = []
+    for k in range(min(n, len(x) + len(y) - 1)):
+        slot = [0] * 25
+        lo, hi = max(0, k - len(y) + 1), min(k, len(x) - 1)
+        if square:
+            for i in range(lo, (k + 1) // 2):
+                _s2_accumulate(slot, xp[i], xp[k - i])
+            slot = [v + v for v in slot]
+            if not k % 2 and k // 2 <= hi:
+                _s2_accumulate(slot, xp[k // 2], xp[k // 2])
+        else:
+            for i in range(lo, hi + 1):
+                _s2_accumulate(slot, xp[i], yp[k - i])
+        if not any(slot):
+            out.append(zero)
+            continue
+        # a^3 = b: residues 3 and 4 are residues 0 and 1 one b-power up
+        for j in range(0, 25, 5):
+            slot[j] += slot[j + 3] << bits
+            slot[j + 1] += slot[j + 4] << bits
+        # d^3 = a*d + 2, d^4 = a*d^2 + 2*d, a*(q0, q1, q2) = (b*q2, q0, q1)
+        u0, u1, u2 = slot[15:18]
+        w0, w1, w2 = slot[20:23]
+        out.append(S2Elem(
+            SFrac(_s2_numerator(slot[0] + 2 * u0, slot[1] + 2 * u1,
+                                slot[2] + 2 * u2, bits), dpow, tpow),
+            SFrac(_s2_numerator(slot[5] + (u2 << bits) + 2 * w0,
+                                slot[6] + u0 + 2 * w1,
+                                slot[7] + u1 + 2 * w2, bits), dpow, tpow),
+            SFrac(_s2_numerator(slot[10] + (w2 << bits), slot[11] + w0,
+                                slot[12] + w1, bits), dpow, tpow)))
+    return out
+
+
+def _s2_reciprocal(x, n, inv0, zero):
+    """The first n >= 1 coefficients of 1/x for an S2 series x with at least
+    n coefficients, inv0 the inverse of x[0], by Newton's step y <- y +
+    y*(1 - x*y): for y exact mod u^m, x*y = 1 + e*u^m and the step gives
+    y - y*e*u^m, exact mod u^(2m), so only y*e mod u^m is formed."""
+    y = [inv0]
+    while len(y) < n:
+        m = len(y)
+        step = min(m, n - m)
+        e = _s2_product(x[:m + step], y, m + step, zero)[m:]
+        y += _s2_product(y, [-c for c in e], step, zero)
+    return y
 
 
 #: a' = a^2 + 3d - a*d^2, the coefficient of the isogeny's target curve

@@ -78,7 +78,8 @@ CASES = [
     ["isogeny", "--order", "4", "--json"],
     ["isogeny", "--order", "1"],
     ["isogeny", "--order", "96"],
-    ["isogeny", "--order", "97"],
+    ["isogeny", "--order", "128"],
+    ["isogeny", "--order", "129"],
     ["derive"],
     ["derive", "--json"],
     [],

@@ -1,9 +1,10 @@
 """The independent oracles share no code with the engines they check.
 
 The naive rewriter of `check_confluence` checks the packed straightening
-engine, `WitnessModel` checks the packed amplified ring, and the
-contracting iteration in `tests/test_curve.py` checks the Newton step of
-`curve.curve_v_series`.  A helper that an oracle and its engine both
+engine, `WitnessModel` checks the packed amplified ring, the contracting
+iteration in `tests/test_curve.py` checks the Newton step of
+`curve.curve_v_series`, and the dense loops of `poly` over the
+hand-folded `S2Elem.__mul__` check the packed S2 series kernel of `tower`.  A helper that an oracle and its engine both
 called would agree with itself, so these tests read, with `ast`, the names
 each oracle's source uses.
 """
@@ -12,7 +13,7 @@ import ast
 import inspect
 from pathlib import Path
 
-from powerops import amplified, curve, mpoly, opalgebra
+from powerops import amplified, curve, mpoly, opalgebra, tower
 
 NAIVE_REWRITER = ("_RULES", "_redexes", "_rewrite_once", "_reduce_word",
                   "_naive_reduce", "_word_table_to_operation")
@@ -21,6 +22,9 @@ STRAIGHTENING = {"_merge", "_pack", "_unpack", "_straighten", "_mono_times",
                  "COMMUTATION", "RELATIONS"}
 PACKED_AMPLIFIED = {"_products", "_sum", "_cartan", "_CARTAN", "_packed",
                     "_grouped", "_peel", "_key", "_wrap", "_theta_scalar"}
+S2_KERNEL = ("_s2_split", "_s2_pack", "_s2_unpack", "_s2_numerator",
+             "_s2_accumulate", "_s2_product", "_s2_reciprocal")
+DENSE_LOOPS = {"_dense_mul", "_dense_square", "_series_reciprocal"}
 
 
 def top_level(source):
@@ -88,3 +92,18 @@ def test_contracting_oracle_names_no_curve_helper():
     used = used_names([top_level(source)["contracting_v_series"]])
     assert "Series" in used
     assert not used & set(top_level(inspect.getsource(curve)))
+
+
+def test_s2_product_names_no_kernel_helper():
+    (s2,) = definitions(tower, ["S2Elem"])
+    (mul,) = [node for node in s2.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__mul__"]
+    used = used_names([mul])
+    assert "c3" in used
+    assert not used & set(S2_KERNEL)
+
+
+def test_s2_kernel_names_no_dense_loop():
+    used = used_names(definitions(tower, S2_KERNEL))
+    assert "SFrac" in used
+    assert not used & DENSE_LOOPS

@@ -5,9 +5,10 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powerops.poly import Poly, A, DISC
+from powerops.poly import Poly, A, DISC, _dense_mul, _series_reciprocal
 from powerops.tower import (SFrac, S2Elem, S22Elem, tower_reduce,
-                            parse_tower_expr)
+                            parse_tower_expr, _s2_product, _s2_reciprocal)
+from test_poly import padded
 
 
 # --- independent oracle: substitute-and-expand reduction -------------------
@@ -518,3 +519,59 @@ def test_s2_from_powers_is_the_fold(coeffs):
 @given(st.lists(s2s, max_size=6))
 def test_s22_from_powers_is_the_fold(coeffs):
     assert S22Elem.from_powers(coeffs) == folded(S22Elem, coeffs)
+
+
+# --- the packed product of S2-valued series ---------------------------------
+#
+# The dense loops of `poly` over S2Elem, whose products are the hand-folded
+# `S2Elem.__mul__`, are the oracle.  The numerators are dense (no grading),
+# with negative coefficients and coefficients past 64 bits, over 2^t * D^r
+# with r up to 3: the isogeny's coefficients never carry a power of D, so
+# only these tests reach the D^T scaling.
+
+S2_ZERO = S2Elem(0)
+numerators = st.lists(st.one_of(st.integers(-9, 9),
+                                st.integers(-2 ** 80, 2 ** 80)),
+                      max_size=5).map(Poly)
+scaled = st.builds(SFrac, numerators, st.integers(0, 3), st.integers(0, 8))
+components = st.one_of(st.just(SFrac(0)), scaled)
+s2_coeffs = st.builds(S2Elem, components, components, components)
+s2_series = padded(s2_coeffs, S2_ZERO, 4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(s2_series, s2_series)
+def test_packed_product_is_the_dense_product(x, y):
+    for n in range(1, len(x) + len(y) + 1):
+        assert _s2_product(x, y, n, S2_ZERO) == _dense_mul(x, y, n, S2_ZERO)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(s2_series)
+def test_packed_square_is_the_dense_product(x):
+    for n in range(1, 2 * len(x) + 1):
+        assert _s2_product(x, x, n, S2_ZERO) == _dense_mul(x, list(x), n,
+                                                             S2_ZERO)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from([S2Elem(1), -D2, D2 + 1]), s2_units),
+       st.lists(s2_coeffs, max_size=5))
+def test_newton_reciprocal_is_the_dense_reciprocal(unit, rest):
+    x = [unit] + rest
+    inv0 = unit.inv()
+    for n in range(1, len(x) + 1):
+        assert _s2_reciprocal(x, n, inv0, S2_ZERO) == _series_reciprocal(
+            x, n, inv0, S2_ZERO)
+
+
+def test_packed_product_at_its_coefficient_bound():
+    # Every product c d^2 * c d = c^2 (a d + 2) puts 2 c^2 on d^0, so the
+    # d^0 numerator at index L - 1 is 2 L c^2, the bound 2 * sum|x| *
+    # max|y| that sizes the packing.
+    c, length = 2 ** 70 + 1, 6
+    x = [S2Elem(0, 0, c)] * length
+    y = [S2Elem(0, c, 0)] * length
+    got = _s2_product(x, y, 2 * length, S2_ZERO)
+    assert got[length - 1] == S2Elem(2 * length * c * c, length * c * c * A)
+    assert got == _dense_mul(x, y, 2 * length, S2_ZERO)
