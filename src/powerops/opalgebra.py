@@ -36,7 +36,7 @@ import random
 from functools import lru_cache
 
 from .poly import (Poly, A, ONE, ZERO, format_terms, summands, _trusted,
-                   _merge)
+                   _merge, _kron_pack, _kron_unpack)
 
 __all__ = ["Operation", "normal_form", "psi", "COMMUTATION", "RELATIONS",
            "CARTAN", "basis_of_degree",
@@ -87,15 +87,12 @@ def psi() -> Operation:
 
 # --- the packed straightening engine -----------------------------------------
 #
-# Straightening computes on Z[a] packed into Python ints: p is held as
-# p(2^W), so that a sum or product of coefficients is one int operation
-# (Fateman, "Can you save time in multiplying polynomials by encoding them
-# as integers?", 2004/2010; Harvey, J. Symbolic Comput. 44, 2009).  Since
-# a -> 2^W is a ring map, packed sums and products are exact at any W; only
-# unpacking needs every coefficient inside the balanced slot
-# [-2^(W-1), 2^(W-1)).  So every packed element travels with a bound on
-# the L1 norm of all its coefficients, and `_straighten` unpacks a result
-# only when its bound fits; otherwise it computes again at a wider W.
+# Straightening computes on Z[a] packed into Python ints by `poly`'s
+# codec at width W: p is held as p(2^W), so that a sum or product of
+# coefficients is one int operation.  Every packed element travels with a
+# bound on the L1 norm of all its coefficients, and `_straighten` unpacks
+# a result only when its bound fits (the rule of `poly._kron_unpack`);
+# otherwise it computes again at a wider W.
 # Terms are dicts {(j, word): int}; the helpers never mutate their
 # arguments or cached values.
 #
@@ -112,34 +109,9 @@ def psi() -> Operation:
 _width, _table = 64, {}
 
 
-def _pack(p: Poly) -> int:
-    """p(2^W)."""
-    n = 0
-    for c in reversed(p.coeffs):
-        n = (n << _width) + c
-    return n
-
-
-def _unpack(n: int) -> Poly:
-    """The Poly p with p(2^W) = n, all of whose coefficients fit a slot."""
-    w = _width
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    if -half <= n < half:
-        return _trusted((n,) if n else ())
-    out = []
-    while n:
-        r = n & mask
-        n >>= w
-        if r >= half:
-            r -= mask + 1
-            n += 1
-        out.append(r)
-    return _trusted(tuple(out))
-
-
-def _norm(polys) -> int:
-    """The L1 norm of all the coefficients of the given polynomials."""
-    return sum(abs(c) for p in polys for c in p.coeffs)
+def _norm(coeff_lists) -> int:
+    """The L1 norm of all the coefficients in the given sequences."""
+    return sum(abs(c) for coeffs in coeff_lists for c in coeffs)
 
 
 def _straighten(compute, *args):
@@ -151,7 +123,8 @@ def _straighten(compute, *args):
     while bound.bit_length() >= _width:
         _width, _table = max(_width + _width // 2, bound.bit_length() + 1), {}
         terms, bound = compute(*args)
-    return {key: _unpack(c) for key, c in terms.items() if c}
+    return {key: _trusted(_kron_unpack(c, _width))
+            for key, c in terms.items() if c}
 
 
 def _placed_sum(items):
@@ -244,7 +217,7 @@ def _mono_image(j: int, word: tuple, x):
         bound += b
     if bound.bit_length() < _width:
         # the entry unpacks, so its exact norm replaces the bound
-        bound = _norm(map(_unpack, out.values()))
+        bound = _norm(_kron_unpack(c, _width) for c in out.values())
     return out, bound
 
 
@@ -270,8 +243,8 @@ def _times_poly(terms, bound, coeffs):
 
 def _raw_multiply(x, y):
     """x * y for {mono: Poly} terms, packed, with its L1 bound."""
-    packed = {mono: _pack(p) for mono, p in x.items()}
-    bound, out, total = _norm(x.values()), {}, 0
+    packed = {mono: _kron_pack(p.coeffs, _width) for mono, p in x.items()}
+    bound, out, total = _norm(p.coeffs for p in x.values()), {}, 0
     for (j2, w2), q in y.items():
         t, b = _times_word(*_times_poly(packed, bound, q.coeffs),
                            (0,) * j2 + w2)

@@ -291,25 +291,6 @@ def _dense_mul(x, y, n=None, zero=0):
     return out
 
 
-def _dense_square(x, n, zero=0):
-    """The first n coefficients of x*x as a list, as `_dense_mul(x, x, n,
-    zero)` gives them with half its products: each x_i*x_j with i < j is
-    formed once, the sum of them at each exponent is doubled, and the
-    squares x_i*x_i are added last.  Zero coefficients of x are skipped."""
-    size = min(n, 2 * len(x) - 1)
-    out = [zero] * size
-    half = x[:(size + 1) // 2]
-    for i, xi in enumerate(half):
-        if xi:
-            for k, xj in enumerate(x[i + 1:size - i], 2 * i + 1):
-                out[k] += xi * xj
-    out = [c + c if c else c for c in out]
-    for i, xi in enumerate(half):
-        if xi:
-            out[2 * i] += xi * xi
-    return out
-
-
 def _dense_divmod(x, y, divide):
     """Long division of dense coefficient sequences: the lists (q, r) with
     x = q*y + r and len(r) < len(y), where y's top coefficient is nonzero
@@ -338,6 +319,37 @@ def _series_reciprocal(x, n: int, inv0, zero=0):
             acc += x[j] * out[k - j]
         out.append(-(inv0 * acc))
     return out
+
+
+def _kron_pack(coeffs, bits: int) -> int:
+    """p(2^bits) for p in Z[a] given by its coefficients (Kronecker
+    substitution; Fateman 2010, Harvey 2009).  a -> 2^bits is a ring map,
+    so sums and products of packed values are exact at any bits."""
+    n = 0
+    for c in reversed(coeffs):
+        n = (n << bits) + c
+    return n
+
+
+def _kron_unpack(n: int, bits: int) -> tuple:
+    """The coefficients of the p in Z[a] with p(2^bits) = n whose digits are
+    balanced, each in [-2^(bits-1), 2^(bits-1)), lowest first, with no
+    trailing zero.  This inverts `_kron_pack` on every p whose coefficients
+    lie in that slot, so a packed value unpacks to its p whenever an L1
+    bound of p's coefficients has fewer than bits bits."""
+    half = 1 << (bits - 1)
+    if -half <= n < half:
+        return (n,) if n else ()
+    mask = (1 << bits) - 1
+    out = []
+    while n:
+        r = n & mask
+        n >>= bits
+        if r >= half:
+            r -= mask + 1
+            n += 1
+        out.append(r)
+    return tuple(out)
 
 
 # --- text: every form is a signed sum of products of atoms ----------------

@@ -8,27 +8,24 @@ beyond what the operands support.
 
 Coefficients can live in any commutative ring whose elements support
 +, -, *, ==; `inverse` additionally needs .inv() on the leading coefficient.
-Products and reciprocals of series over S2 go through the packed kernel of
-`tower`; over any other ring through the dense loops of `poly`.
+Products (squares included) and reciprocals of series over S2 go through
+the packed kernel of `tower`; over any other ring through `poly`'s one
+dense product and its series reciprocal.
 """
 
 from __future__ import annotations
 
-from .poly import _dense_mul, _dense_square, _series_reciprocal
+from .poly import _dense_mul, _series_reciprocal
 from .tower import S2Elem, _s2_product, _s2_reciprocal
 
 __all__ = ["Series"]
-
-
-def _dense_product(x, y, n, zero):
-    return _dense_square(x, n, zero) if x is y else _dense_mul(x, y, n, zero)
 
 
 def _kernels(zero):
     """(product, reciprocal) for coefficients of the type of zero."""
     if type(zero) is S2Elem:
         return _s2_product, _s2_reciprocal
-    return _dense_product, _series_reciprocal
+    return _dense_mul, _series_reciprocal
 
 
 class Series:

@@ -23,7 +23,7 @@ from functools import reduce
 from operator import or_
 
 from .poly import (Poly, A, DISC, power, summands, _dense_divmod, _trim,
-                   _trusted)
+                   _trusted, _kron_pack, _kron_unpack)
 
 __all__ = ["SFrac", "S2Elem", "S22Elem", "TARGET_A", "tower_reduce",
            "parse_tower_expr"]
@@ -405,10 +405,10 @@ class S2Elem:
 # d-component are one residue mod 3).  Each operand is put over one
 # denominator 2^E * D^T, and each numerator c(a) of each d-component is split
 # as sum_r a^r * P_r(b), b = a^3, r = 0, 1, 2; each nonzero P_r is packed
-# into the int P_r(2^B).  For each output index the products of the blocks
-# are summed in 5 x 5 slots (d-power j1 + j2, residue r1 + r2), folded once
-# by a^3 = b (a shift by B) and d^3 = a*d + 2, d^4 = a*d^2 + 2*d, and
-# unpacked into signed digits.  The split is exact for any input; on graded
+# by `poly`'s codec into the int P_r(2^B).  For each output index the
+# products of the blocks are summed in 5 x 5 slots (d-power j1 + j2,
+# residue r1 + r2), folded once by a^3 = b (a shift by B) and d^3 = a*d + 2,
+# d^4 = a*d^2 + 2*d, and unpacked.  The split is exact for any input; on graded
 # inputs each component has one nonzero block, not three, so a coefficient
 # pair costs at most nine int products on a third of the digits.
 #
@@ -419,9 +419,9 @@ class S2Elem:
 # is at most 2 * sum_i |x_i| * |y_(k-i)| in absolute value, where |x_i| is
 # the sum of the absolute values of x_i's scaled numerator coefficients, and
 # that is at most 2 * min(sum|x| * max|y|, max|x| * sum|y|).  Scaling by
-# 2^s multiplies |.| by 2^s, and by D^k at most by |D|^k = 28^k.  Digits in
-# [-2^(B-1), 2^(B-1)) hold every value of absolute value below 2^(B-1), so
-# B is one more than the bit length of that bound.
+# 2^s multiplies |.| by 2^s, and by D^k at most by |D|^k = 28^k.  B is one
+# more than the bit length of that bound, so every output unpacks (the
+# rule of `poly._kron_unpack`).
 
 def _s2_split(x):
     """(E, T, rows, total, top) for the S2 series coefficients x: 2^E * D^T
@@ -458,28 +458,15 @@ def _s2_pack(rows, bits, T):
     for row in rows:
         packed = []
         for j, r, block, s, k in row:
-            acc = 0
-            for c in reversed(block):
-                acc = (acc << bits) + c
+            acc = _kron_pack(block, bits)
             packed.append((j, r, (acc << s) * dpows[k] if k else acc << s))
         out.append(packed)
     return out
 
 
-def _s2_unpack(value, bits):
-    """The signed digits of value at 2^bits, each in [-2^(bits-1),
-    2^(bits-1)), lowest first, up to the last nonzero one."""
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    out = []
-    while value:
-        out.append(((value + half) & mask) - half)
-        value = (value + half) >> bits
-    return out
-
-
 def _s2_numerator(q0, q1, q2, bits):
     """The Poly sum_r a^r * q_r(a^3) from the packed q_r."""
-    digits = [_s2_unpack(q, bits) for q in (q0, q1, q2)]
+    digits = [_kron_unpack(q, bits) for q in (q0, q1, q2)]
     m = max(map(len, digits))
     coeffs = [0] * (3 * m)
     for r, d in enumerate(digits):

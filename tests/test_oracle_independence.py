@@ -4,27 +4,30 @@ The naive rewriter of `check_confluence` checks the packed straightening
 engine, `WitnessModel` checks the packed amplified ring, the contracting
 iteration in `tests/test_curve.py` checks the Newton step of
 `curve.curve_v_series`, and the dense loops of `poly` over the
-hand-folded `S2Elem.__mul__` check the packed S2 series kernel of `tower`.  A helper that an oracle and its engine both
-called would agree with itself, so these tests read, with `ast`, the names
-each oracle's source uses.
+hand-folded `S2Elem.__mul__` check the packed S2 series kernel of `tower`.
+The two packed engines share `poly`'s Kronecker codec, so no oracle may
+name it.  A helper that an oracle and its engine both called would agree
+with itself, so these tests read, with `ast`, the names each oracle's
+source uses.
 """
 
 import ast
 import inspect
 from pathlib import Path
 
-from powerops import amplified, curve, mpoly, opalgebra, tower
+from powerops import amplified, curve, mpoly, opalgebra, poly, tower
 
 NAIVE_REWRITER = ("_RULES", "_redexes", "_rewrite_once", "_reduce_word",
                   "_naive_reduce", "_word_table_to_operation")
-STRAIGHTENING = {"_merge", "_pack", "_unpack", "_straighten", "_mono_times",
-                 "_mono_image", "_raw_multiply", "_placed_sum", "_table",
-                 "COMMUTATION", "RELATIONS"}
+CODEC = {"_kron_pack", "_kron_unpack"}
+STRAIGHTENING = {"_merge", "_straighten", "_mono_times", "_mono_image",
+                 "_raw_multiply", "_placed_sum", "_table", "COMMUTATION",
+                 "RELATIONS"} | CODEC
 PACKED_AMPLIFIED = {"_products", "_sum", "_cartan", "_CARTAN", "_packed",
                     "_grouped", "_peel", "_key", "_wrap", "_theta_scalar"}
-S2_KERNEL = ("_s2_split", "_s2_pack", "_s2_unpack", "_s2_numerator",
-             "_s2_accumulate", "_s2_product", "_s2_reciprocal")
-DENSE_LOOPS = {"_dense_mul", "_dense_square", "_series_reciprocal"}
+S2_KERNEL = ("_s2_split", "_s2_pack", "_s2_numerator", "_s2_accumulate",
+             "_s2_product", "_s2_reciprocal")
+DENSE_LOOPS = ("_dense_mul", "_series_reciprocal")
 
 
 def top_level(source):
@@ -100,10 +103,16 @@ def test_s2_product_names_no_kernel_helper():
               if isinstance(node, ast.FunctionDef) and node.name == "__mul__"]
     used = used_names([mul])
     assert "c3" in used
-    assert not used & set(S2_KERNEL)
+    assert not used & (set(S2_KERNEL) | CODEC)
 
 
 def test_s2_kernel_names_no_dense_loop():
     used = used_names(definitions(tower, S2_KERNEL))
-    assert "SFrac" in used
-    assert not used & DENSE_LOOPS
+    assert "SFrac" in used and CODEC <= used
+    assert not used & set(DENSE_LOOPS)
+
+
+def test_dense_loops_name_no_codec_helper():
+    used = used_names(definitions(poly, DENSE_LOOPS))
+    assert "enumerate" in used
+    assert not used & CODEC

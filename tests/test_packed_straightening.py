@@ -1,21 +1,20 @@
 """The packed Z[a] kernel under straightening.
 
-Straightening holds each Z[a] coefficient p as the int p(2^W), with
-balanced slots of W bits.  These tests pin the round trip at the slot
-edges, the choice of W from the tracked L1 bound, the one width that only
-grows with the one table packed at it, and that a table started far too
-narrow widens itself and still gives every answer.
+Straightening holds each Z[a] coefficient p as the int p(2^W), packed by
+`poly`'s codec at W bits (whose round trip `test_poly.py` pins).  These
+tests pin the choice of W from the tracked L1 bound, the one width that
+only grows with the one table packed at it, and that a table started far
+too narrow widens itself and still gives every answer.
 """
 
 import json
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from powerops import opalgebra
 from powerops.opalgebra import Operation, basis_of_degree, check_confluence
-from powerops.poly import A, Poly
+from powerops.poly import A, Poly, _kron_pack, _kron_unpack
 
 import test_koszul_complex_pin
 import test_koszul_pin
@@ -34,42 +33,13 @@ def start_width(w):
     opalgebra._width, opalgebra._table = w, {}
 
 
-def _edge_coefficients(w):
-    edge = (1 << (w - 1)) - 1
-    return st.one_of(st.sampled_from([edge, -edge, 0, 1, -1, edge - 1,
-                                      1 - edge]),
-                     st.integers(-edge, edge))
-
-
-@st.composite
-def _slot_polys(draw):
-    w = draw(st.integers(2, 200))
-    coeffs = draw(st.lists(_edge_coefficients(w), max_size=12))
-    return w, Poly(coeffs)
-
-
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(_slot_polys())
-def test_round_trip_at_the_slot_edges(case):
-    w, p = case
-    start_width(w)
-    n = opalgebra._pack(p)
-    assert n == p.evaluate(1 << w)
-    assert opalgebra._unpack(n) == p
-
-
-def test_a_coefficient_past_the_slot_does_not_round_trip():
-    start_width(8)
-    p = Poly((1 << 7, 1))
-    assert opalgebra._unpack(opalgebra._pack(p)) != p
-
-
 def _recording(widths):
     """A compute for `_straighten` that packs its Poly argument and
     records the width it ran at."""
     def compute(p):
         widths.append(opalgebra._width)
-        return {"k": opalgebra._pack(p)}, opalgebra._norm([p])
+        return ({"k": _kron_pack(p.coeffs, opalgebra._width)},
+                opalgebra._norm([p.coeffs]))
     return compute
 
 
@@ -113,7 +83,7 @@ def test_a_coefficient_that_packs_to_zero_is_not_lost(w):
     # wider W, also after merges drop every term
     start_width(w)
     p = A - (1 << w)
-    assert opalgebra._pack(p) == 0
+    assert _kron_pack(p.coeffs, opalgebra._width) == 0
     assert Operation.from_poly(p) * Operation.q(0) == \
         Operation({(1, ()): p})
     assert Operation.from_poly(p * p) * Operation.q(1) == \
@@ -166,7 +136,8 @@ def _true_norms(keys):
     out = {}
     for key in keys:
         terms, bound = opalgebra._mono_times(*key)
-        out[key] = opalgebra._norm(map(opalgebra._unpack, terms.values()))
+        out[key] = opalgebra._norm(_kron_unpack(c, opalgebra._width)
+                                   for c in terms.values())
         assert bound == out[key]  # every entry unpacks at this width
     return out
 
@@ -182,7 +153,7 @@ def test_tracked_bounds_cover_the_true_norms(w):
     x = Operation.from_word(["Q2", "a", "Q0", "a"])
     y = Operation.from_word(["Q0", "Q1", "a", "Q0"])
     terms, bound = opalgebra._raw_multiply(x.terms, y.terms)
-    assert bound >= opalgebra._norm((x * y).terms.values())
+    assert bound >= opalgebra._norm(p.coeffs for p in (x * y).terms.values())
 
 
 def test_a_long_word_fills_its_images_on_a_stack(monkeypatch):

@@ -2,11 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from powerops.poly import (Poly, A, DISC, ONE, ZERO, summands, _dense_divmod,
-                           _dense_mul, _dense_square)
-from powerops.tower import SFrac, S2Elem
+                           _kron_pack, _kron_unpack)
 
 
 def rand_poly(rng, deg=5, size=9):
@@ -216,7 +215,7 @@ def test_dense_divmod_over_f2(x, y):
     assert same(plus_times(q, y, r), x, mod=2) and len(r) < len(y)
 
 
-# --- the square kernel of truncated series products -------------------------
+# --- dense coefficient lists for the series kernels of test_tower.py ------
 
 def padded(elems, zero, most):
     """Lists of one to `most` elements with zeros inside, behind a run of
@@ -228,24 +227,71 @@ def padded(elems, zero, most):
         lambda t: [zero] * t[0] + t[1] + [zero] * t[2])
 
 
-def assert_square_is_plain_product(x, zero):
-    # the plain product of x and a copy of x that is a distinct object
-    for n in range(1, 2 * len(x)):
-        assert _dense_square(x, n, zero) == _dense_mul(x, list(x), n, zero)
+# --- the Kronecker codec of Z[a] ------------------------------------------
+
+def slot_edges(bits):
+    """Coefficients at and next to both edges of the balanced slot
+    [-2^(bits-1), 2^(bits-1)), and 0 and +-1."""
+    half = 1 << (bits - 1)
+    return [0, 1, -1, half - 1, half - 2, -half, 1 - half]
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(padded(st.integers(-10 ** 6, 10 ** 6), 0, 8))
-def test_dense_square_over_z(x):
-    assert_square_is_plain_product(x, 0)
+def assert_round_trip(coeffs, bits):
+    p = Poly(coeffs)
+    n = _kron_pack(p.coeffs, bits)
+    assert n == p.evaluate(1 << bits)
+    assert _kron_unpack(n, bits) == p.coeffs
 
 
-halves = st.tuples(st.lists(st.integers(-9, 9), max_size=3),
-                   st.integers(0, 2)).map(lambda t: SFrac(Poly(t[0]), 0, t[1]))
+@st.composite
+def slot_polys(draw):
+    bits = draw(st.integers(2, 300))
+    half = 1 << (bits - 1)
+    coeff = st.one_of(st.sampled_from(slot_edges(bits)),
+                      st.integers(-half, half - 1))
+    return bits, draw(st.lists(coeff, max_size=12))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(padded(st.tuples(halves, halves, halves).map(lambda c: S2Elem(*c)),
-              S2Elem(0), 5))
-def test_dense_square_over_s2_with_halves(x):
-    assert_square_is_plain_product(x, S2Elem(0))
+# A faulty decoder can loop for ever: one that drops a carry on every
+# negative value, one whose half is one short at 2 bits.  So the cases that
+# catch each fault on a value >= 0 at 8 bits or more come first: (-1, 1),
+# the top edge half - 1, and (-half, 1), whose value half is the first
+# past the single-slot fast path.
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(slot_polys())
+@example((8, [-1, 1]))
+@example((8, [127]))
+@example((8, [-128, 1]))
+@example((300, [-(1 << 299), 1]))
+def test_kron_round_trip_at_the_slot_edges(case):
+    bits, coeffs = case
+    assert_round_trip(coeffs, bits)
+
+
+def test_kron_round_trip_of_each_edge_at_bits_2_to_300():
+    # the three cases named above first, at the widest slots first; then
+    # each edge alone, and below, between and above a digit of each sign
+    for bits in range(300, 1, -1):
+        edges = slot_edges(bits)
+        half = 1 << (bits - 1)
+        for coeffs in ((-1, 1), (half - 1,), (-half, 1)):
+            assert_round_trip(coeffs, bits)
+        for c in edges:
+            for coeffs in ((c,), (c, 1), (c, -1), (1, c, -1), (-1, c, 1),
+                           (1, c), (-1, c)):
+                assert_round_trip(coeffs, bits)
+        assert_round_trip(edges, bits)
+        assert_round_trip(edges[::-1], bits)
+
+
+def test_kron_past_the_slot_does_not_round_trip():
+    for bits in range(300, 1, -1):
+        half = 1 << (bits - 1)
+        # 2^(bits-1) itself is past the slot, though it has bits bits
+        assert _kron_unpack(half, bits) == (-half, 1)
+        # its carry lands on the next digit, which it takes to half - 1
+        n = _kron_pack((half, half - 2), bits)
+        assert _kron_unpack(n, bits) == (-half, half - 1)
+        assert _kron_unpack(-half - 1, bits) == (half - 1, -1)
+    p = Poly((1 << 7, 1))
+    assert _kron_unpack(_kron_pack(p.coeffs, 8), 8) != p.coeffs
