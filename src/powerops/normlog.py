@@ -22,7 +22,7 @@ denominators.
 from __future__ import annotations
 
 from .poly import Poly, A, ONE, ZERO, DISC
-from .tower import SFrac, S2Elem
+from .tower import SFrac, S2Elem, _s2_times
 from .padic import (PadicElem, PrecisionError, log_half, DEFAULT_PREC2,
                     DEFAULT_PRECA)
 from .opalgebra import _pushed
@@ -61,7 +61,9 @@ def q_triple_R(x) -> tuple:
 
 # P is a ring map R -> S2, and P(D)^-1 has only D-power denominators since
 # N D = -D^3, so P extends to S inside S2.  Entry n is P(D)^-n; the list
-# grows one product at a time, as far as a denominator has asked.
+# grows one product at a time, as far as a denominator has asked.  The
+# products go through `tower`'s packed S2 kernel; `S2Elem.__mul__` is its
+# oracle.
 _P_D_INV_POWERS = [S2Elem(1), S2Elem(*q_triple_R(DISC)).inv()]
 
 
@@ -75,8 +77,8 @@ def p_map(x) -> S2Elem:
     if x.dpow:
         powers = _P_D_INV_POWERS
         while len(powers) <= x.dpow:
-            powers.append(powers[-1] * powers[1])
-        out = out * powers[x.dpow]
+            powers.append(_s2_times(powers[-1], powers[1]))
+        out = _s2_times(out, powers[x.dpow])
     return out
 
 

@@ -16,6 +16,8 @@ makes sense over Z2 with no division by 2.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .poly import Poly, DISC, power, _dense_mul, _series_reciprocal
 from .tower import SFrac
 
@@ -209,26 +211,32 @@ class PadicElem:
 def log_half(x: PadicElem) -> "PadicElem":
     """(1/2) * log(1 + 2x) as an element of the completed ring.
 
-    Sums sum_k (-1)^(k-1) 2^(k-1) x^k / k up to the last k whose term
-    survives mod 2^x.prec2.  Needs x itself, not 1+2x, so no halving occurs
-    and the full 2-adic precision of x survives.
+    Sums sum_k c_k x^k, c_k = (-1)^(k-1) 2^(k-1) / k, up to the last k
+    whose term survives mod 2^x.prec2.  Needs x itself, not 1+2x, so no
+    halving occurs and the full 2-adic precision of x survives.  The sum is
+    Paterson and Stockmeyer's: x^1, ..., x^s once, s = isqrt(last + 1),
+    then Horner in x^s over blocks of s terms, each block a sum of int
+    scalings, so s - 1 + last // s series products in place of last.
     """
-    n = x.prec2
+    n, m = x.prec2, x.precA
     mod = 1 << n
     # The k-th term has 2-valuation at least k - 1 - v2(k), which is
     # k - (k & -k).bit_length(), and n or more for every k >= 2n + 2.
     last = max(k for k in range(1, 2 * n + 2)
                if k - (k & -k).bit_length() < n)
-    total = PadicElem.zero(n, x.precA)
-    xk = PadicElem.one(n, x.precA)
+    coeffs = [0]
     for k in range(1, last + 1):
-        xk = xk * x
         v2 = (k & -k).bit_length() - 1
         shift = k - 1 - v2
-        if shift < n:
-            unit = pow(k >> v2, -1, mod)
-            coeff = ((1 << shift) * unit) % mod
-            if k % 2 == 0:
-                coeff = -coeff
-            total = total + xk * coeff
+        coeff = (1 << shift) * pow(k >> v2, -1, mod) if shift < n else 0
+        coeffs.append(coeff if k % 2 else -coeff)
+    s = isqrt(last + 1)
+    powers = [PadicElem.one(n, m), x]
+    while len(powers) <= s:
+        powers.append(powers[-1] * x)
+    blocks = [sum((powers[i] * c for i, c in enumerate(coeffs[j:j + s]) if c),
+                  PadicElem.zero(n, m)) for j in range(0, last + 1, s)]
+    total = blocks.pop()
+    for block in reversed(blocks):
+        total = total * powers[s] + block
     return total

@@ -481,13 +481,13 @@ def _s2_accumulate(slot, xrow, yrow):
             slot[5 * (j1 + j2) + r1 + r2] += p * q
 
 
-def _s2_product(x, y, n, zero):
-    """The first n coefficients of the product of the S2 series coefficient
-    sequences x and y (index = exponent of u), as a list cut to len(x) +
-    len(y) - 1; x is y takes the square case, which forms each cross product
-    once.  Each output is built by SFrac, so it is in lowest terms and equal
-    to the schoolbook product's; `zero` is the S2 zero, given where the
-    product vanishes."""
+def _s2_product(x, y, n, zero, start=0):
+    """The coefficients start, ..., n - 1 of the product of the S2 series
+    coefficient sequences x and y (index = exponent of u), as a list cut to
+    len(x) + len(y) - 1; x is y takes the square case, which forms each
+    cross product once.  Each output is built by SFrac, so it is in lowest
+    terms and equal to the schoolbook product's; `zero` is the S2 zero,
+    given where the product vanishes."""
     square = x is y
     Ex, Tx, xrows, xsum, xtop = _s2_split(x)
     Ey, Ty, yrows, ysum, ytop = (Ex, Tx, xrows, xsum, xtop) if square \
@@ -497,7 +497,7 @@ def _s2_product(x, y, n, zero):
     yp = xp if square else _s2_pack(yrows, bits, Ty)
     dpow, tpow = Tx + Ty, Ex + Ey
     out = []
-    for k in range(min(n, len(x) + len(y) - 1)):
+    for k in range(start, min(n, len(x) + len(y) - 1)):
         slot = [0] * 25
         lo, hi = max(0, k - len(y) + 1), min(k, len(x) - 1)
         if square:
@@ -539,9 +539,14 @@ def _s2_reciprocal(x, n, inv0, zero):
     while len(y) < n:
         m = len(y)
         step = min(m, n - m)
-        e = _s2_product(x[:m + step], y, m + step, zero)[m:]
+        e = _s2_product(x[:m + step], y, m + step, zero, m)
         y += _s2_product(y, [-c for c in e], step, zero)
     return y
+
+
+def _s2_times(x, y):
+    """x * y for S2 elements x and y, by the kernel on series of length 1."""
+    return _s2_product((x,), (y,), 1, S2Elem())[0]
 
 
 #: a' = a^2 + 3d - a*d^2, the coefficient of the isogeny's target curve

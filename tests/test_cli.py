@@ -189,6 +189,10 @@ class TestInputSyntax:
         (["nf", "2*a Q1"], 0, ["nf", "2 a Q1"]),
         (["norm", "-a^3 + 9*a^2 - 27*a + 27"], 0,
          ["norm", "- a^3 + 9 a^2 - 27 a + 27"]),
+        # an argument that starts with "-" and a letter goes after "--",
+        # or argparse reads it as an option
+        (["norm", "--", "-a"], 0, ["norm", "0 - a"]),
+        (["ell", "--", "-1 - 2 a"], 0, ["ell", "0 - 1 - 2 a"]),
         (["norm", "a^-1"], 2, None),
         (["norm", "a^ 2"], 2, None),
         (["norm", "2a"], 2, None),

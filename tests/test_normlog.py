@@ -230,6 +230,25 @@ class TestActionOnLocalizedHost:
                 want = S2Elem(*q_triple_R(f)) * p_d_inv ** n
                 assert p_map(SFrac(f, n)) == want
 
+    def test_p_map_matches_the_hand_folded_product(self, monkeypatch):
+        # p_map multiplies on the packed S2 kernel; the oracle forms P(D)^-n
+        # with S2Elem.__mul__ and __pow__ alone, up to the D-powers that the
+        # isogeny_norm workload reaches (12)
+        monkeypatch.setattr(normlog, "_P_D_INV_POWERS",
+                            normlog._P_D_INV_POWERS[:2])
+        p_d_inv = S2Elem(*q_triple_R(DISC)).inv()
+        rng = random.Random(37)
+        for dpow in range(13):
+            for _ in range(6):
+                x = SFrac(Poly([rng.randint(-40, 40)
+                                for _ in range(rng.randint(1, 9))]), dpow)
+                want = S2Elem(*q_triple_R(x.num)) * p_d_inv ** x.dpow
+                assert p_map(x) == want
+        powers = normlog._P_D_INV_POWERS
+        assert len(powers) == 13
+        for n, entry in enumerate(powers):
+            assert entry == powers[1] ** n
+
     def test_q_values_reach_denominators(self):
         # P(1/D) = P(D)^(-1), so the Q-values of 1/D carry denominator D^2
         q = q_triple_S(SFrac(1, 1))

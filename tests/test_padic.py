@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -146,7 +147,50 @@ def test_log_half_at_every_precision_vs_oracle(n):
         assert got.res[0] == oracle_log_half_int(m, n)
 
 
-def test_log_half_forms_one_product_per_summed_term(monkeypatch):
+def term_by_term_log_half(x):
+    """The half-logarithm as it was summed before Paterson and Stockmeyer:
+    one series product x^k = x^(k-1) * x and one int scaling per summed
+    term, up to the last k whose term survives mod 2^x.prec2."""
+    n = x.prec2
+    mod = 1 << n
+    last = max(k for k in range(1, 2 * n + 2)
+               if k - (k & -k).bit_length() < n)
+    total = PadicElem.zero(n, x.precA)
+    xk = PadicElem.one(n, x.precA)
+    for k in range(1, last + 1):
+        xk = xk * x
+        v2 = (k & -k).bit_length() - 1
+        shift = k - 1 - v2
+        if shift < n:
+            unit = pow(k >> v2, -1, mod)
+            coeff = ((1 << shift) * unit) % mod
+            if k % 2 == 0:
+                coeff = -coeff
+            total = total + xk * coeff
+    return total
+
+
+def same_bytes(x, y):
+    return (x.res, x.prec2, x.precA) == (y.res, y.prec2, y.precA)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_log_half_matches_term_by_term_sum(n):
+    rng = random.Random(n)
+    for precA in (0, 1, 2, 5, 16, 33):
+        for _ in range(2):
+            x = PadicElem([rng.randrange(1 << n) for _ in range(precA)], n,
+                          precA)
+            assert same_bytes(log_half(x), term_by_term_log_half(x))
+
+
+def test_log_half_matches_term_by_term_sum_at_the_cli_limit():
+    rng = random.Random(256)
+    x = PadicElem([rng.randrange(1 << 256) for _ in range(256)], 256, 256)
+    assert same_bytes(log_half(x), term_by_term_log_half(x))
+
+
+def test_log_half_forms_about_two_root_k_products(monkeypatch):
     products = []
     dense_mul = padic._dense_mul
 
@@ -160,7 +204,9 @@ def test_log_half_forms_one_product_per_summed_term(monkeypatch):
     summed = [k for k in range(1, 64)
               if k - 1 - ((k & -k).bit_length() - 1) < 20]
     assert summed == list(range(1, 21))
-    assert len(products) == len(summed)
+    # s = isqrt(21) = 4: x^2, x^3, x^4, then 20 // 4 Horner steps in x^4
+    assert len(products) == 3 + 5
+    assert len(products) <= 2 * math.ceil(math.sqrt(len(summed) + 1))
 
 
 def test_log_half_additivity():
