@@ -65,8 +65,9 @@ from .poly import Poly, ZERO, ONE, A, power, format_terms, summands
 from .poly import _trusted as _trusted_poly
 from .tower import SFrac, S_ONE
 from .mpoly import MPoly
+from . import opalgebra
 from .opalgebra import (CARTAN, Operation, push_poly, push_through, psi,
-                        basis_of_degree, _pushed)
+                        basis_of_degree, _pushed, _charge, _words)
 from .opmodules import standard_module, act, _basis_images
 
 __all__ = ["WindowOverflowError", "AmplifiedRing", "AmplifiedPoly",
@@ -135,12 +136,6 @@ def _mono(key):
     return tuple(out)
 
 
-def _peel(m):
-    """(g, key of g) for the generator of the lowest nonzero field of m."""
-    field = ((m & -m).bit_length() - 1) // _WIDTH
-    return _GENS[field], 1 << (field * _WIDTH)
-
-
 def _packed(c, m=0):
     """The terms of c m, for c in Z[a] (a Poly or an int) and an a-free
     key m."""
@@ -170,11 +165,22 @@ def _grouped(terms):
     return {m: _poly(row) for m, row in rows.items()}
 
 
+# The units of a budgeted call's work (see `opalgebra._budget`) that a
+# product charges per pair of terms, on top of one per pair of 64-bit
+# words of their coefficients, and that a decoded value charges per term
+# and per factor.  Neither depends on the fields keys are packed in.
+_PAIR_UNITS, _PRINT_UNITS = 100, 400
+
+
 def _products(pairs):
     """The sum of x y over the pairs (x, y) of packed values."""
     out = {}
     get = out.get
+    charged = opalgebra._left is not None
     for x, y in pairs:
+        if charged:
+            _charge(_PAIR_UNITS * len(x) * len(y)
+                    + _words(x.values()) * _words(y.values()))
         for m1, c1 in x.items():
             for m2, c2 in y.items():
                 m = m1 + m2
@@ -264,7 +270,10 @@ class AmplifiedPoly:
 
     @property
     def terms(self):
-        return {_mono(m): c for m, c in _grouped(self._terms).items()}
+        out = {_mono(m): c for m, c in _grouped(self._terms).items()}
+        if opalgebra._left is not None:
+            _charge(_PRINT_UNITS * (len(self._terms) + sum(map(len, out))))
+        return out
 
     def is_zero(self):
         return not self._terms
@@ -436,13 +445,12 @@ class AmplifiedRing:
         q = q and q_m is None
         if not (theta or q):
             return pair
-        chain, y = [], m
-        while y:
-            g, unit = _peel(y)
-            chain.append((g, unit))
-            y -= unit
-        theta_y, q_y = {}, _Q_ONE  # of y = 1
-        for g, unit in reversed(chain):
+        # generators in a fixed order, not that of their fields, so that
+        # the work charged does not depend on what ran before
+        chain = [g for g, e in _mono(m) for _ in range(e)]
+        theta_y, q_y, y = {}, _Q_ONE, 0  # of y = 1
+        for g in reversed(chain):
+            unit = _unit(g)
             if theta:
                 theta_g = self._gen_key(g[0] + 1, g[1])
                 if not y:

@@ -26,10 +26,9 @@ import functools
 import json
 import os
 import sys
-from math import comb, prod
 
 from .poly import Poly, summands
-from .opalgebra import Operation, normal_form, COMMUTATION, RELATIONS
+from .opalgebra import Operation, normal_form, _budget, _OverBudget
 from .opmodules import (ModulePresentation, standard_module, omega_power,
                         tensor, act, check_well_defined)
 from .amplified import AmplifiedRing, WindowOverflowError
@@ -59,120 +58,12 @@ def _read(fn, arg, prefix="", errors=ValueError):
         raise UsageError("%s%s" % (prefix, exc))
 
 
-class _OverLimit(Exception):
-    """A straightening profile passed `_PUSH_LIMIT`."""
-
-
-def _checked(profile):
-    """profile, with each count n cut to the 2^(q - j) admissible words of
-    its key (j, q), once its size, the sum of n * (d + 1)^2, is within
-    `_PUSH_LIMIT`."""
-    out = {key: (d, min(n, 1 << (key[1] - key[0])))
-           for key, (d, n) in profile.items()}
-    if sum(n * (d + 1) ** 2 for d, n in out.values()) > _PUSH_LIMIT:
-        raise _OverLimit
-    return out
-
-
-def _add(out, profile, shift=0, times=1):
-    """out += profile, its degrees raised by shift and counts times times."""
-    for key, (d, n) in profile.items():
-        e, m = out.get(key, (-1, 0))
-        out[key] = (max(e, d + shift), m + n * times)
-    return out
-
-
-# Row d holds, for each i, the degrees of (c0, c1, c2) in Q_i a^e =
-# c0 Q0 + c1 Q1 + c2 Q2, the largest over e <= d (-1 for none): a profile
-# keeps only the largest degree d of its terms, and Q1 a has no c1 though
-# Q1 has.
-_PUSHED_DEGREES = [((0, -1, -1), (-1, 0, -1), (-1, -1, 0))]
-
-
-def _pushed_degrees(d):
-    rows = _PUSHED_DEGREES
-    while len(rows) <= d:
-        # Q_i a^e = sum_l c_l Q_l a^(e-1), as in `opalgebra.push_through`
-        rows.append(tuple(
-            tuple(max([row[k]] + [row[l] + COMMUTATION[l][k].degree()
-                                  for l in range(3)
-                                  if row[l] >= 0 and COMMUTATION[l][k]])
-                  for k in range(3))
-            for row in rows[-1]))
-    return rows[d]
-
-
-@functools.cache
-def _past_q0s(l, j):
-    """The profile of Q_l Q0^j: the relation that starts with Q_l Q0
-    writes it as sum c Q_x Q_y Q0^(j-1)."""
-    if not l:
-        return {(j + 1, j + 1): (0, 1)}
-    if not j:
-        return {(0, 1): (0, 1)}
-    out = {}
-    for c, x, y in RELATIONS[l - 1][1:]:
-        _add(out, _times_profile(x, _past_q0s(y, j - 1)), c.degree())
-    return _checked(out)
-
-
-def _times_profile(x, profile):
-    """The profile of x times a form of the given profile, x "a" or the
-    index i of Q_i: Q_i a^d is pushed to sum c_l Q_l, and Q_l Q0^j is
-    `_past_q0s`, its words followed by the q - j letters after Q0^j."""
-    out = {}
-    for (j, q), (d, n) in profile.items():
-        if x == "a":
-            _add(out, {(j, q): (d + 1, n)})
-            continue
-        for l, e in enumerate(_pushed_degrees(d)[x]):
-            if e >= 0:
-                _add(out, {(k, p + q - j): v
-                           for (k, p), v in _past_q0s(l, j).items()}, e, n)
-    return _checked(out)
-
-
-def _profile(op: Operation):
-    """The straightening profile of a normal form (see `_scan`)."""
-    out = {}
-    for (j, w), c in op.terms.items():
-        _add(out, {(j, j + len(w)): (c.degree(), 1)})
-    return out
-
-
-def _scan(text: str, factors, profile=None, context=""):
-    """Refuse the term (factors) of text, times a normal form of the given
-    profile (that of 1 by default), when its straightening size passes
-    `_PUSH_LIMIT`.
-
-    A straightening profile {(j, q): (d, n)} bounds the terms c Q0^j Q_w
-    of degree q (w of length q - j) of a straightened form: at most n of
-    them, with deg c <= d.  The letters are scanned right to left through
-    the rules of `opalgebra` run on degrees and counts alone
-    (`_times_profile`), and the size of a profile is the sum of
-    n * (d + 1)^2.
-    """
-    if profile is None:
-        profile = {(0, 0): (0, 1)}
-    try:
-        for tok, k in reversed(factors):
-            if tok in _LETTERS:
-                for _ in range(k):
-                    profile = _times_profile(
-                        "a" if tok == "a" else int(tok[1]), profile)
-    except _OverLimit:
-        raise UsageError("%r has a term of straightening size above %d "
-                         "(terms times (a-degree + 1)^2)%s"
-                         % (text, _PUSH_LIMIT, context)) from None
-
-
 def _check(text: str, prefix: str, degree: bool = False):
     """Refuse, by a scan that builds nothing, any term of text whose
     integer factors n^k pass `_BITS_LIMIT` bits (k times the bits of n),
     with degree set any term whose exponents of a, d and d' pass
-    `_DEGREE_LIMIT`, any term with more than `_LETTER_LIMIT` letters a,
-    Q0, Q1 and Q2, and any term whose straightening size (`_scan`) passes
-    `_PUSH_LIMIT`."""
+    `_DEGREE_LIMIT`, and any term with more than `_LETTER_LIMIT` letters
+    a, Q0, Q1 and Q2."""
     for _, factors in _read(summands, text, prefix):
         bits = 0
         for tok, k in factors:
@@ -191,7 +82,6 @@ def _check(text: str, prefix: str, degree: bool = False):
         if sum(k for tok, k in factors if tok in _LETTERS) > _LETTER_LIMIT:
             raise UsageError("%r has a term of more than %d letters a, Q0, "
                              "Q1 and Q2" % (text, _LETTER_LIMIT))
-        _scan(text, factors)
 
 
 def _parse(fn, text: str, prefix: str, degree: bool = False):
@@ -275,18 +165,17 @@ _KMAX_LIMIT = 7
 # Tor's cost grows with k, and the isogeny series' with its order.
 _K_LIMIT = 256
 _ORDER_LIMIT = 128
-# The work of theta grows with the a-degree times `_theta_size`.
-_THETA_GEN_TERMS = (4, 12, 106)
-_THETA_LIMIT = 1024
 # The norm and the logarithm grow with the degree in a, d and d'.
 _DEGREE_LIMIT = 256
 # Arithmetic on the input's integers grows with their bits.
 _BITS_LIMIT = 1 << 19
-# A Q letter on a^k costs about k^3.
+# A Q letter on a^k costs about k^3, and a long word costs tuple work
+# that the work budget does not see.
 _LETTERS = ("a", "Q0", "Q1", "Q2")
 _LETTER_LIMIT = 256
-# Straightening grows with the size `_scan` bounds.
-_PUSH_LIMIT = 1 << 21
+# nf, mul, act and theta stop once the engines have charged this many
+# units of work (see `opalgebra._budget`).
+_WORK_BUDGET = 600_000_000
 # A module takes one tensor product per factor, on coefficients whose
 # degree grows with each.
 _OMEGA_LIMIT = 512
@@ -316,22 +205,33 @@ def _fmt_vector(vec) -> str:
 
 # --- subcommand handlers: each returns (exit code, payload, text) -----------
 
+def _budgeted(handler):
+    """handler, refused as malformed once its work passes `_WORK_BUDGET`."""
+    def run(args):
+        try:
+            with _budget(_WORK_BUDGET):
+                return handler(args)
+        except _OverBudget:
+            text = (repr(args.expr) if "expr" in args
+                    else "%r times %r" % (args.left, args.right))
+            raise UsageError("%s takes more than %d units of work"
+                             % (text, _WORK_BUDGET)) from None
+    return run
+
+
+@_budgeted
 def _cmd_nf(args):
     op = _operation(args.expr)
     return 0, op.to_json(), str(op)
 
 
+@_budgeted
 def _cmd_mul(args):
-    left, right = _operation(args.left), _operation(args.right)
-    # the left factor's letters are pushed through the right one too
-    profile = _profile(right)
-    for _, factors in summands(args.left):
-        _scan(args.left, factors, profile,
-              " in its product with %r" % args.right)
-    product = left * right
+    product = _operation(args.left) * _operation(args.right)
     return 0, product.to_json(), str(product)
 
 
+@_budgeted
 def _cmd_act(args):
     mod = _module_spec(args.module)
     op = _operation(args.expr)
@@ -354,24 +254,10 @@ def _cmd_tensor(args):
     return (0 if ok else 1), payload, "\n".join(lines)
 
 
-def _theta_size(p) -> int:
-    """A bound on the number of monomials of Q0, Q1 and Q2 of the
-    monomials of p, which theta multiplies by the Q-triple of their
-    coefficients: the sum over the monomials of the product over their
-    factors g^e of C(e + s - 1, e), the number of monomials of degree e in
-    the s monomials of the Q-triple of g (s = 4, 12 and 106 for theta^0,
-    theta^1 and theta^2 of any Q_w x)."""
-    return sum(prod(comb(e + _THETA_GEN_TERMS[min(j, 2)] - 1, e)
-                    for (j, _), e in mono) for mono in p.terms)
-
-
+@_budgeted
 def _cmd_theta(args):
     ring = AmplifiedRing(theta_depth=3, word_depth=4)
     p = _parse(ring.parse, args.expr, "", True)
-    if _theta_size(p) > _THETA_LIMIT:
-        raise UsageError("%r has size above %d (a bound on the number of "
-                         "monomials of its Q-triple)" % (args.expr,
-                                                         _THETA_LIMIT))
     # "t^3 x" parses, but its theta leaves the window
     value = str(_read(ring.theta, p, errors=WindowOverflowError))
     return 0, {"input": args.expr, "theta": value}, value

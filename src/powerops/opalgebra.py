@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from functools import lru_cache
 
 from .poly import (Poly, A, ONE, ZERO, format_terms, summands, _trusted,
@@ -105,8 +106,50 @@ def psi() -> Operation:
 # images `_mono_times` reads, all packed at that width.  When a bound does
 # not fit, the width grows to max(1.5 W, bits of the bound + 1) and the
 # table starts again empty.
+#
+# A budgeted call (`_budget`) charges its work and straightens on a width
+# and table of its own, started at 64, so that what it charges does not
+# depend on what ran before.  Only the images of the words of degree at
+# most 5 at width 64, at most 240, are shared by every budgeted call:
+# `_SHARED` holds them, each filled uncharged when first needed.
 
-_width, _table = 64, {}
+_width, _table, _SHARED = 64, {}, {}
+_left = None  # the units a budgeted call may still charge; None outside one
+
+
+class _OverBudget(Exception):
+    """A budgeted call charged more work than its budget."""
+
+
+def _words(values) -> int:
+    """The size of the ints values in 64-bit words, at least one each."""
+    return len(values) + (sum(map(int.bit_length, values)) >> 6)
+
+
+def _charge(units: int):
+    """Charge units of work to the budgeted call."""
+    global _left
+    _left -= units
+    if _left < 0:
+        raise _OverBudget
+
+
+@contextmanager
+def _state(table, left):
+    """Run the block at width 64 on the given table and budget."""
+    global _width, _table, _left, _depth
+    saved = _width, _table, _left, _depth
+    _width, _table, _left, _depth = 64, table, left, 0
+    try:
+        yield
+    finally:
+        _width, _table, _left, _depth = saved
+
+
+def _budget(units: int):
+    """Run the block on a budget of units of work (see above), charged by
+    `_times` and by `amplified`."""
+    return _state(dict(_SHARED), units)
 
 
 def _norm(coeff_lists) -> int:
@@ -149,9 +192,12 @@ def _times(terms, bound, x):
         return {(j, word + (x,)): c for (j, word), c in terms.items()}, bound
     # peak starts at 1, so that a bound carried by terms `_merge` dropped
     # survives even when nothing is left
-    out, peak, table = {}, 1, _table
+    out, peak, table, charged = {}, 1, _table, _left is not None
     for (j, word), c in terms.items():
         image, norm = table.get((j, word, x)) or _mono_times(j, word, x)
+        if charged:
+            # a unit is one product of 64-bit words of c and of the image
+            _charge(((c.bit_length() >> 6) + 1) * _words(image.values()))
         _merge(out, image, c)
         if norm > peak:
             peak = norm
@@ -185,7 +231,7 @@ def _mono_times(j: int, word: tuple, x):
         try:
             while stack:
                 try:
-                    _table[stack[-1]] = _mono_image(*stack[-1])
+                    _table[stack[-1]] = _fill(stack[-1])
                     stack.pop()
                 except _Missing as miss:
                     stack.append(miss.args[0])
@@ -193,6 +239,15 @@ def _mono_times(j: int, word: tuple, x):
             _depth -= 1
         hit = _table[key]
     return hit
+
+
+def _fill(key):
+    """The table entry of key; in a budgeted call at width 64, that of
+    `_SHARED` for a word of degree at most 5, filled there uncharged."""
+    if _left is None or _width != 64 or key[0] + len(key[1]) > 5:
+        return _mono_image(*key)
+    with _state(_SHARED, None):
+        return _mono_times(*key)
 
 
 def _mono_image(j: int, word: tuple, x):

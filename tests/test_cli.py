@@ -1,7 +1,8 @@
 """Command-line front end: output bytes, JSON payloads, and exit codes."""
 
+import contextlib
 import importlib
-import itertools
+import io
 import json
 import os
 import shutil
@@ -250,13 +251,13 @@ class TestInputSyntax:
         (["ell", "1 + 2 7^174763"], 2, None),
         (["norm", "99999999999999999999999999^99999"], 2, None),
         (["nf", "2^262144 Q1"], 0, ["nf", "4^131072 Q1"]),
-        # theta's argument is bounded in a-degree and in size (a bound on
-        # the monomials of its Q-triple): x^16 has size 969 and (Q[1] x)^5
-        # 56, one past 1024 together
-        (["theta", "x^16 + (Q[1] x)^5"], 2, "error: 'x^16 + (Q[1] x)^5' has "
-         "size above 1024 (a bound on the number of monomials of its "
-         "Q-triple)\n"),
-        (["theta", "t^2 x^5 + a Q[1 2] x^3"], 2, None),
+        # theta's argument is bounded in a-degree before it is built, and
+        # theta stops once its work passes the budget; cheap powers of
+        # several generators pass
+        (["theta", "x^16 + (Q[1] x)^5"], 0, ["theta", "(Q[1] x)^5 + x^8 x^8"]),
+        (["theta", "x^8 (t x)^2"], 0, ["theta", "(t x)^2 x^4 x^4"]),
+        (["theta", "t^2 x^5 + a Q[1 2] x^3"], 2, "error: 't^2 x^5 + a Q[1 2] "
+         "x^3' takes more than 600000000 units of work\n"),
         (["theta", "a^257 x"], 2, "error: 'a^257 x' has a term of degree "
          "above 256 in a, d and d'\n"),
         (["theta", "x^40000"], 2, None),
@@ -268,21 +269,21 @@ class TestInputSyntax:
         (["mul", "Q1", "a^128 Q2 a^128"], 2, None),
         (["act", "Q0^257"], 2, None),
         (["nf", "a^255 Q1"], 0, ["nf", "a^200 a^55 Q1"]),
-        # and a straightening size at most 2^21: the rules run on the
-        # a-degree d and the count n of the straightened terms alone, and
-        # the size is the sum of n (d + 1)^2
+        # and straightening stops once its work passes the budget, which
+        # counts the work done, so cheap words of many terms pass
         (["nf", "Q1^18 a"], 0, ["nf", "Q1^9 Q1^9 a"]),
-        (["nf", "Q1^19 a"], 2, "error: 'Q1^19 a' has a term of "
-         "straightening size above 2097152 (terms times (a-degree + 1)^2)\n"),
+        (["nf", "Q1^19 a"], 0, ["nf", "Q1^10 Q1^9 a"]),
         (["nf", "Q2 Q0^5"], 0, ["nf", "Q2 Q0^2 Q0^3"]),
-        (["nf", "Q2 Q0^6"], 2, None),
-        (["nf", "Q2^8 Q0"], 2, None),
+        (["nf", "Q2 Q0^6"], 0, ["mul", "Q2 Q0^3", "Q0^3"]),
+        (["nf", "Q2^8 Q0"], 2, "error: 'Q2^8 Q0' takes more than 600000000 "
+         "units of work\n"),
         (["nf", "Q0^200"], 0, ["nf", "Q0^100 Q0^100"]),
-        # a product scans the left factor on the right one's normal form
+        # a product is budgeted as one call: both factors and the product
         (["mul", "Q1^8", "a"], 0, ["nf", "Q1^8 a"]),
-        (["mul", "Q1 a^108", "Q2 a^84"], 2, "error: 'Q1 a^108' has a term "
-         "of straightening size above 2097152 (terms times (a-degree + "
-         "1)^2) in its product with 'Q2 a^84'\n"),
+        (["mul", "Q1 a^108", "Q2 a^84"], 0, ["mul", "Q1 a^100 a^8",
+                                             "Q2 a^84"]),
+        (["mul", "Q1 a^255", "Q2 a^255"], 2, "error: 'Q1 a^255' times "
+         "'Q2 a^255' takes more than 600000000 units of work\n"),
         # and a module name at most 512 tensor factors, omega^N counting N
         (["act", "Q1", "--module", "omega^513"], 2, "error: module "
          "'omega^513' has more than 512 tensor factors (omega^N counts N)\n"),
@@ -315,80 +316,6 @@ class TestInputSyntax:
             "(choose from 'q', 'f2', 'z')\n")
 
 
-class TestStraighteningProfile:
-    # the size limit rests on the profile bounding the a-degree and the
-    # number of the terms c Q0^j Q_w of each degree q, for a word alone
-    # and for a word times a normal form
-    @staticmethod
-    def bounded(profile, op):
-        from collections import Counter
-        from powerops.cli import _checked
-        profile = _checked(profile)
-        keys = Counter((j, j + len(w)) for j, w in op.terms)
-        return all(keys[key] <= profile[key][1] for key in keys) and all(
-            c.degree() <= profile[(j, j + len(w))][0]
-            for (j, w), c in op.terms.items())
-
-    @staticmethod
-    def scanned(word, profile):
-        from powerops.cli import _times_profile
-        for x in reversed(word):
-            profile = _times_profile("a" if x == "a" else int(x[1]), profile)
-        return profile
-
-    def test_words_of_five_letters(self):
-        for n in range(6):
-            for word in itertools.product(("a", "Q0", "Q1", "Q2"), repeat=n):
-                assert self.bounded(self.scanned(word, {(0, 0): (0, 1)}),
-                                    Operation.from_word(list(word))), word
-
-    def test_products(self):
-        from powerops.cli import _profile
-        words = [w for n in range(4)
-                 for w in itertools.product(("a", "Q0", "Q1", "Q2"), repeat=n)]
-        for right in words[::3]:
-            op = Operation.from_word(list(right)) + Operation.from_word(["Q2"])
-            for left in words[1::4]:
-                assert self.bounded(self.scanned(left, _profile(op)),
-                                    Operation.from_word(list(left)) * op)
-
-
-class TestEngineFacts:
-    # the size limits read facts of the engines that cli keeps as data of
-    # its own; each is computed here from the engine it was read from
-
-    def test_theta_gen_terms(self):
-        # the distinct a-free monomials of the Q-triple of theta^j Q_w x in
-        # theta's window, at its largest over the generators whose Q-triple
-        # stays in the window
-        from powerops.amplified import WindowOverflowError, _grouped
-        from powerops.cli import _THETA_GEN_TERMS
-        ring = AmplifiedRing(theta_depth=3, word_depth=4)
-        most = [0, 0, 0]
-        for j in range(3):
-            for n in range(5):
-                for w in itertools.product((1, 2), repeat=n):
-                    try:
-                        triple = ring._q_gen((j, w))
-                    except WindowOverflowError:
-                        continue
-                    monos = set().union(*map(_grouped, triple))
-                    most[j] = max(most[j], len(monos))
-        assert tuple(most) == _THETA_GEN_TERMS == (4, 12, 106)
-
-    def test_pushed_degrees(self):
-        # row d: the largest degree of each component of push_through(i, e)
-        # over e <= d (-1 while every one is zero)
-        from powerops.cli import _pushed_degrees
-        from powerops.opalgebra import push_through
-        most = [[-1] * 3 for _ in range(3)]
-        for d in range(257):
-            for i in range(3):
-                for k, c in enumerate(push_through(i, d)):
-                    most[i][k] = max(most[i][k], c.degree())
-            assert _pushed_degrees(d) == tuple(map(tuple, most)), d
-
-
 class TestInternalErrors:
     # exit 2 is for malformed input only: an exception that escapes a
     # handler is a bug, whatever its type
@@ -402,6 +329,95 @@ class TestInternalErrors:
         code, out, err = run_cli(capsys, "isogeny", "--order", "4")
         assert code == 3 and out == ""
         assert err.startswith("internal error: %s: " % error.__name__)
+
+
+def charged(argv, budget):
+    """(exit code, stdout, units of work charged) of one in-process call of
+    the CLI at the given work budget."""
+    import powerops.cli as cli
+    from powerops import opalgebra
+    spent, real = [], (cli._budget, cli._WORK_BUDGET)
+
+    @contextlib.contextmanager
+    def spy(units):
+        with real[0](units):
+            try:
+                yield
+            finally:
+                spent.append(units - opalgebra._left)
+
+    cli._budget, cli._WORK_BUDGET = spy, budget
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+    finally:
+        cli._budget, cli._WORK_BUDGET = real
+    return [code, out.getvalue(), spent[0]]
+
+
+class TestWorkBudget:
+    # the budget counts the work the engines charge, which must not depend
+    # on what ran before in the process: a budgeted call straightens on a
+    # state of its own, and theta charges nothing that hangs on the fields
+    # its generators are packed in
+    CASES = [["nf", "Q2 Q0^5"], ["mul", "Q1 a^3", "Q2 Q0^4"],
+             ["theta", "x^8 (t x)^2"]]
+    BUDGET = 10 ** 8
+    CHILD = """
+import json, sys
+from powerops.amplified import AmplifiedRing
+from test_cli import charged
+AmplifiedRing(3, 4).parse("(t^2 x) (t Q[1] x) (t x) (Q[2] x) (Q[1] x)")
+print(json.dumps(charged(sys.argv[1:], %d)))
+"""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        from powerops import opalgebra
+        monkeypatch.setattr(opalgebra, "_SHARED", {})
+        monkeypatch.setattr(opalgebra, "_width", 64)
+        monkeypatch.setattr(opalgebra, "_table", {})
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_charge_is_the_same_cold_and_warm(self, argv):
+        from powerops import opalgebra
+        first = charged(argv, self.BUDGET)
+        code, out, units = first
+        assert code == 0 and out and 0 < units <= self.BUDGET
+        assert charged(argv, self.BUDGET) == first
+        # after library calls that widened the width and gave out theta
+        # fields in another order
+        Operation.from_word(["Q1"] + ["a"] * 60)
+        assert opalgebra._width > 64
+        ring = AmplifiedRing(theta_depth=3, word_depth=4)
+        ring.theta(ring.parse("t^2 Q[2 1] x + t Q[1 2 2] x"))
+        assert charged(argv, self.BUDGET) == first
+        # the budget refuses exactly past the charge
+        assert charged(argv, units)[:2] == first[:2]
+        assert charged(argv, units - 1)[:2] == [2, ""]
+        # and so does a fresh interpreter that gave theta's generators
+        # their fields in another order
+        env = child_env()
+        env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+        proc = subprocess.run([sys.executable, "-c",
+                               self.CHILD % self.BUDGET] + argv,
+                              capture_output=True, text=True, env=env,
+                              check=True)
+        assert json.loads(proc.stdout) == first
+
+    def test_leaves_the_straightening_state_as_it_found_it(self):
+        from powerops import opalgebra
+        Operation.from_word(["Q1"] + ["a"] * 60)
+        width, table = opalgebra._width, opalgebra._table
+        state = dict(table)
+        for argv in self.CASES:
+            for budget in (self.BUDGET, 1000):  # answered, then refused
+                charged(argv, budget)
+                assert opalgebra._width == width
+                assert opalgebra._table is table and dict(table) == state
+                assert opalgebra._left is None
 
 
 class TestKoszulCommands:

@@ -107,10 +107,13 @@ CASES = [
     ["theta", "7^174763 x", "--json"],
     ["norm", "7^174763"],
     ["theta", "x^16 + (Q[1] x)^5"],
+    ["theta", "t^2 x^5 + a Q[1 2] x^3"],
     ["nf", "Q1 a^256", "--json"],
     ["act", "Q1", "--module", "omega^513"],
     ["nf", "Q2 Q0^6"],
+    ["nf", "Q2^8 Q0"],
     ["mul", "Q1 a^108", "Q2 a^84"],
+    ["mul", "Q1 a^255", "Q2 a^255"],
     ["nf", "Q1^255 Q0", "--json"],
     ["ell", "1 + 2 a + a^3", "--prec2", "64", "--precA", "48"],
     ["ell", "1 + 2 a + a^3", "--prec2", "64", "--precA", "48", "--json"],

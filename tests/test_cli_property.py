@@ -6,7 +6,10 @@ tokens, goes through `cli.main` in process.  Every input must exit 0, 1
 or 2 (never 3, an internal error); exit 2 must print nothing on stdout and
 name the error on stderr; and stdout must not depend on what ran before
 it in the process: a second pass in the same process and one fresh
-interpreter that runs the list backwards print the same bytes.
+interpreter that runs the list backwards print the same bytes.  A second
+seeded list of products of powers up to 8 falls on both sides of the work
+budget of `nf`, `mul`, `act` and `theta`, so the same checks show that
+the budget refuses the same inputs warm and cold.
 """
 
 import contextlib
@@ -25,6 +28,7 @@ from test_cli import child_env
 
 SEED = 812_1320
 COUNT = 600
+HEAVY = 16
 
 INTEGERS = ["0", "1", "2", "3", "7", "12", "65536", "18446744073709551617"]
 MALFORMED = ["2a", "a^-1", "Q3", "a^ 2", "(", "t^4 x", ")", "a^", "**",
@@ -94,8 +98,27 @@ def draw(rng):
     return argv
 
 
+POWERS = {"op": ["Q0", "Q1", "Q2", "a"],
+          "theta": ["x", "(t x)", "(Q[1] x)", "a"]}
+
+
+def heavy(rng):
+    """One argv of nf, mul, act or theta whose expressions are products of
+    two powers, each up to 8, of the atoms of POWERS."""
+    def product(kind):
+        return " ".join("%s^%d" % (rng.choice(POWERS[kind]), rng.randint(1, 8))
+                        for _ in range(2))
+    command = rng.choice(["nf", "mul", "act", "theta"])
+    if command == "theta":
+        return [command, product("theta")]
+    if command == "mul":
+        return [command, product("op"), product("op")]
+    return [command, product("op")]
+
+
 _rng = random.Random(SEED)
 INPUTS = [draw(_rng) for _ in range(COUNT)]
+INPUTS += [heavy(_rng) for _ in range(HEAVY)]
 
 
 def run(argv):

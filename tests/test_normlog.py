@@ -355,6 +355,12 @@ class TestTruncatedAction:
         trunc = NormContext("Shat").m_value(PadicElem.from_poly(x, 2, 100))
         assert trunc.agrees_with(exact)
 
+    def test_m_value_refuses_truncated_nonunit(self):
+        # N x = x^6 mod (2, a): x = a + 2 gives an even constant term
+        x = PadicElem.from_poly(Poly([2, 1]), 2, 100)
+        with pytest.raises(ValueError, match="not a unit of the completed"):
+            NormContext("Shat").m_value(x)
+
 
 class TestContextErrors:
     def test_unknown_host(self):

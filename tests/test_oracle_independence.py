@@ -24,7 +24,7 @@ STRAIGHTENING = {"_merge", "_straighten", "_mono_times", "_mono_image",
                  "_raw_multiply", "_placed_sum", "_table", "COMMUTATION",
                  "RELATIONS"} | CODEC
 PACKED_AMPLIFIED = {"_products", "_sum", "_cartan", "_CARTAN", "_packed",
-                    "_grouped", "_peel", "_key", "_wrap", "_theta_scalar"}
+                    "_grouped", "_mono", "_key", "_wrap", "_theta_scalar"}
 S2_KERNEL = ("_s2_split", "_s2_pack", "_s2_numerator", "_s2_accumulate",
              "_s2_product", "_s2_reciprocal", "_s2_times")
 DENSE_LOOPS = ("_dense_mul", "_series_reciprocal")
