@@ -105,6 +105,11 @@ def q_triple_padic(x: PadicElem) -> tuple:
                  for q in q_triple_R(Poly(x.res)))
 
 
+def _evaluate(form: MPoly, q):
+    """The form at (q0, q1, q2) = q and a = A."""
+    return form.substitute({"q0": q[0], "q1": q[1], "q2": q[2], "a": A})
+
+
 # --- hosts ------------------------------------------------------------------
 
 class NormContext:
@@ -112,7 +117,7 @@ class NormContext:
 
     host is one of "R", "S", "Shat".  R elements are Poly, S elements are
     SFrac (D-power denominators), and Shat accepts either an exact Poly
-    (kept exact until the final division) or an already-truncated
+    (cut to the working precision before M forms N) or an already-truncated
     PadicElem (all later steps track its precision).
     """
 
@@ -127,11 +132,9 @@ class NormContext:
     # -- coercion and primitives ------------------------------------------
 
     def coerce(self, x):
-        if self.host == "R":
-            return Poly(x)
         if self.host == "S":
             return x if isinstance(x, SFrac) else SFrac(x)
-        if isinstance(x, PadicElem):
+        if self.host == "Shat" and isinstance(x, PadicElem):
             return x
         return Poly(x)
 
@@ -153,43 +156,42 @@ class NormContext:
 
     # -- the four operators -------------------------------------------------
 
-    def _evaluate(self, form: MPoly, x):
-        q0, q1, q2 = self.q_triple(x)
-        return form.substitute({"q0": q0, "q1": q1, "q2": q2, "a": A})
-
     def trace_T(self, x):
-        return self._evaluate(TRACE, x)
+        return _evaluate(TRACE, self.q_triple(x))
 
     def norm_N(self, x):
-        return self._evaluate(NORM, x)
+        return _evaluate(NORM, self.q_triple(x))
 
     def m_value(self, x):
-        """M x = (x^2 Psi x / N x - 1) / 2; requires x (hence N x) a unit."""
+        """M x = (x^2 Psi x / N x - 1) / 2; requires x (hence N x) a unit.
+
+        Psi is additive, multiplicative as P is a ring map through `CARTAN`
+        (`check_psi_multiplicativity`), and fixes 1 and a, hence Z[a], and
+        1/D, as Psi(1/D) = 1/Psi(D): on R and S, x^2 Psi x = x^3.  An exact
+        Poly on Shat is cut mod (2^(n+1), a^m) before N, an integer form in
+        the Q-triple, is formed; the extra bit pays for the halving.  A
+        truncated PadicElem keeps Psi: composites need not be continuous.
+        """
         x = self.coerce(x)
         if self.host == "R":
             raise ValueError("M needs denominators; use host S or Shat")
         if self.host == "S":
-            ratio = (x * x * self.psi_value(x)).div(self.norm_N(x))
-            m = (ratio - 1).div(SFrac(2))
+            m = ((x * x * x).div(self.norm_N(x)) - 1).div(SFrac(2))
             if not m.is_in_S():
                 raise ValueError("x^2 Psi x / N x is not in 1 + 2S; "
                                  "x is not a unit of S")
             return m
         if isinstance(x, PadicElem):
-            n = self.norm_N(x)
-            if not n.is_unit():
-                raise ValueError("N x is not a unit of the completed ring")
-            ratio = x * x * self.psi_value(x) * n.inv()
-            return (ratio - 1).halve()
-        # exact polynomial viewed inside the completed ring: N x - x^2 Psi x
-        # is even (the norm congruence), so M is (x^2 Psi x - N x)/2 / N x.
-        n = self.norm_N(x)
-        if n.constant_term() % 2 == 0:
-            raise ValueError("N x has even constant term; x is not a unit")
-        num = x * x * self.psi_value(x) - n
-        half = num.divide_int_exact(2)
-        n_inv = PadicElem.from_poly(n, self.prec2, self.precA).inv()
-        return PadicElem.from_poly(half, self.prec2, self.precA) * n_inv
+            n, cube = self.norm_N(x), x * x * self.psi_value(x)
+        else:
+            prec2, mod = self.prec2 + 1, 1 << (self.prec2 + 1)
+            q = [Poly([c % mod for c in p.coeffs[:self.precA]])
+                 for p in (*q_triple_R(x), x)]
+            n = PadicElem(_evaluate(NORM, q).coeffs, prec2, self.precA)
+            cube = PadicElem((q[3] * q[3] * q[3]).coeffs, prec2, self.precA)
+        if not n.is_unit():
+            raise ValueError("N x is not a unit of the completed ring")
+        return (cube * n.inv() - 1).halve()
 
     def log_ell(self, x) -> PadicElem:
         """ell(x) = (1/2) log(1 + 2 M x) in the completed ring."""
@@ -219,12 +221,9 @@ def linearization_check(r) -> bool:
     The norm formula is evaluated at q_i = Q_i(1) + eps Q_i(r), polynomials
     in eps, and its eps^0 and eps^1 coefficients are read off.
     """
-    r = Poly(r)
     eps = MPoly.var("eps")
-    at_one, at_r = q_triple_R(ONE), q_triple_R(r)
-    values = {"q%d" % i: at_one[i] + eps * at_r[i] for i in range(3)}
-    values["a"] = A
-    total = NORM.substitute(values).terms
+    total = _evaluate(NORM, [u + eps * v for u, v in
+                             zip(q_triple_R(ONE), q_triple_R(r))]).terms
     return (total.get((), ZERO) == ONE
             and total.get((("eps", 1),), ZERO) == NormContext("R").trace_T(r))
 

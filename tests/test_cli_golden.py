@@ -117,6 +117,9 @@ CASES = [
     ["nf", "Q1^255 Q0", "--json"],
     ["ell", "1 + 2 a + a^3", "--prec2", "64", "--precA", "48"],
     ["ell", "1 + 2 a + a^3", "--prec2", "64", "--precA", "48", "--json"],
+    # the dense unit at both precision limits
+    ["ell", " + ".join("a^%d" % k for k in range(256, 1, -1)) + " + a + 1",
+     "--prec2", "256", "--precA", "256"],
 ]
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from powerops.poly import Poly, A, ONE, ZERO, DISC
 from powerops.tower import SFrac, S2Elem, TARGET_A
-from powerops.padic import PadicElem, PrecisionError
+from powerops.padic import PadicElem, PrecisionError, log_half
 from powerops.opalgebra import Operation, psi
 from powerops.opmodules import standard_module, act
 from powerops import normlog
@@ -80,6 +80,53 @@ def _oracle_ell(x: Poly, prec2: int, precA: int, cutoff: int = 40):
         assert c.denominator % 2 == 1
         out.append(c.numerator * pow(c.denominator, -1, mod) % mod)
     return out
+
+
+# --- the old route to M, the oracle of NormContext.m_value ------------------
+
+def old_m_value(ctx, x):
+    """M x as m_value formed it before it used Psi = id on R and S.
+
+    On S, x^2 Psi x / N x with Psi composed from the Q-action.  On an exact
+    Poly in the completed ring, the exact N x and x^2 Psi x in Z[a], their
+    difference halved exactly, and only then a reduction mod (2^n, a^m).
+    """
+    if ctx.host == "S":
+        ratio = (x * x * ctx.psi_value(x)).div(ctx.norm_N(x))
+        m = (ratio - 1).div(SFrac(2))
+        if not m.is_in_S():
+            raise ValueError("x^2 Psi x / N x is not in 1 + 2S")
+        return m
+    n = ctx.norm_N(x)
+    if n.constant_term() % 2 == 0:
+        raise ValueError("N x has even constant term; x is not a unit")
+    half = (x * x * ctx.psi_value(x) - n).divide_int_exact(2)
+    n_inv = PadicElem.from_poly(n, ctx.prec2, ctx.precA).inv()
+    return PadicElem.from_poly(half, ctx.prec2, ctx.precA) * n_inv
+
+
+def seeded_unit(rng, degree):
+    """An exact Poly with odd constant term: a unit of the completed ring."""
+    coeffs = [rng.randint(-60, 60) for _ in range(degree + 1)]
+    coeffs[0] |= 1
+    return Poly(coeffs)
+
+
+def assert_same_as_old_route(ctx, x, log=True):
+    """m_value, and log_ell unless log is False, give the old route's
+    bytes, or all of them refuse x with ValueError."""
+    try:
+        m = old_m_value(ctx, x)
+    except ValueError:
+        for fn in (ctx.m_value, ctx.log_ell):
+            with pytest.raises(ValueError):
+                fn(x)
+        return
+    assert ctx.m_value(x).to_json() == m.to_json()
+    if log:
+        if isinstance(m, SFrac):
+            m = PadicElem.from_sfrac(m, ctx.prec2, ctx.precA)
+        assert ctx.log_ell(x).to_json() == log_half(m).to_json()
 
 
 class TestSymbolicIdentification:
@@ -275,6 +322,17 @@ class TestActionOnLocalizedHost:
             assert SFrac(R.psi_value(x)) == S.psi_value(SFrac(x))
         assert R.psi_value(A) == A
         assert R.psi_value(DISC) == DISC
+        # Psi is the identity on R and S, which m_value relies on
+        rng = random.Random(41)
+        for _ in range(20):
+            x = Poly([rng.randint(-30, 30)
+                      for _ in range(rng.randint(1, 9))])
+            assert R.psi_value(x) == x
+        for dpow in range(4):
+            for _ in range(5):
+                x = SFrac(Poly([rng.randint(-30, 30)
+                                for _ in range(rng.randint(1, 9))]), dpow)
+                assert S.psi_value(x) == x
 
 
 class TestLogarithm:
@@ -327,6 +385,70 @@ class TestLogarithm:
     def test_m_needs_denominators(self):
         with pytest.raises(ValueError):
             R.m_value(A)
+
+
+class TestAgainstOldRoute:
+    """m_value and log_ell give the old route's bytes, and refuse what it
+    refuses."""
+
+    def test_seeded_units_at_precisions_1_to_256(self):
+        rng = random.Random(43)
+        for prec2 in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 256):
+            for precA in (1, rng.randint(2, 64), rng.randint(65, 256)):
+                ctx = NormContext("Shat", prec2, precA)
+                x = seeded_unit(rng, rng.randint(0, 12))
+                assert_same_as_old_route(ctx, x, log=prec2 + precA < 160)
+
+    def test_dense_and_sparse_inputs_at_the_limits(self):
+        ctx = NormContext("Shat", 256, 256)
+        for x in (Poly([1] * 257), 1 + A ** 256):
+            assert_same_as_old_route(ctx, x)
+
+    def test_disc_powers(self):
+        shat = NormContext("Shat")
+        for k in range(-3, 4):
+            for sgn in (1, -1):
+                assert_same_as_old_route(S, SFrac(sgn) * SFrac(DISC) ** k)
+                if k >= 0:
+                    assert_same_as_old_route(shat, sgn * DISC ** k)
+
+    def test_precision_edges(self):
+        rng = random.Random(47)
+        for _ in range(5):
+            x = seeded_unit(rng, rng.randint(0, 8))
+            for prec2, precA in ((1, 1), (1, 17), (12, 0), (1, 0)):
+                assert_same_as_old_route(NormContext("Shat", prec2, precA), x)
+        with pytest.raises(ValueError):
+            NormContext("Shat", 12, 0).m_value(Poly([1, 2]))
+
+    def test_non_units_are_refused_by_both(self):
+        rng = random.Random(53)
+        ctx = NormContext("Shat", 20, 16)
+        for _ in range(10):
+            x = seeded_unit(rng, rng.randint(0, 8)) + rng.choice((1, -1))
+            with pytest.raises(ValueError):
+                old_m_value(ctx, x)
+            assert_same_as_old_route(ctx, x)
+        for x in (SFrac(A), SFrac(A * A + 1), SFrac(A + 1, 1),
+                  SFrac(1, 0, 1)):
+            with pytest.raises(ValueError):
+                old_m_value(S, x)
+            assert_same_as_old_route(S, x)
+
+    def test_on_S_units_and_seeded_elements(self):
+        # the units of S are the +-(a - 3)^i (a^2 + 3 a + 9)^j D^-k
+        rng = random.Random(59)
+        factors = (SFrac(A - 3), SFrac(A * A + 3 * A + 9), SFrac(1, 1))
+        for _ in range(12):
+            x = SFrac(rng.choice((1, -1)))
+            for f in factors:
+                x = x * f ** rng.randint(0, 3)
+            assert_same_as_old_route(S, x)
+        for _ in range(30):
+            x = SFrac(Poly([rng.randint(-9, 9)
+                            for _ in range(rng.randint(1, 8))]) or ONE,
+                      rng.randint(0, 3))
+            assert_same_as_old_route(S, x, log=False)
 
 
 class TestTruncatedAction:

@@ -3,7 +3,8 @@
 The naive rewriter of `check_confluence` checks the packed straightening
 engine, `WitnessModel` checks the packed amplified ring, the contracting
 iteration in `tests/test_curve.py` checks the Newton step of
-`curve.curve_v_series`, and the dense loops of `poly` over the
+`curve.curve_v_series`, the old route to M in `tests/test_normlog.py`
+checks `NormContext.m_value`, and the dense loops of `poly` over the
 hand-folded `S2Elem.__mul__` check the packed S2 series kernel of `tower`.
 The two packed engines share `poly`'s Kronecker codec, so no oracle may
 name it.  A helper that an oracle and its engine both called would agree
@@ -95,6 +96,13 @@ def test_contracting_oracle_names_no_curve_helper():
     used = used_names([top_level(source)["contracting_v_series"]])
     assert "Series" in used
     assert not used & set(top_level(inspect.getsource(curve)))
+
+
+def test_old_m_route_names_psi_and_not_the_new_route():
+    source = (Path(__file__).resolve().parent / "test_normlog.py").read_text()
+    used = used_names([top_level(source)["old_m_value"]])
+    assert {"psi_value", "divide_int_exact"} <= used
+    assert not used & {"m_value", "log_ell", "_evaluate"}
 
 
 def test_s2_product_names_no_kernel_helper():
