@@ -36,6 +36,41 @@ def _terms(x):
     return {(): x} if x else {}
 
 
+def _horner_scheme(terms, order):
+    """The Horner scheme of terms in the variables of order, outermost
+    first: (None, c) for the constant c, else (name, steps), where steps
+    pairs the scheme of the cofactor of each power name^e, by descending e,
+    with the exponent gap to the next power (to 0 after the last).  A
+    variable no term holds adds no level."""
+    if not order:
+        return None, terms.get((), 0)
+    name, groups = order[0], {}
+    for mono, c in terms.items():
+        e = dict(mono).get(name, 0)
+        rest = tuple(pair for pair in mono if pair[0] != name)
+        groups.setdefault(e, {})[rest] = c
+    if list(groups) == [0]:
+        return _horner_scheme(terms, order[1:])
+    exps = sorted(groups, reverse=True)
+    return name, [(_horner_scheme(groups[e], order[1:]), e - after)
+                  for e, after in zip(exps, exps[1:] + [0])]
+
+
+def _horner(scheme, values):
+    """The value of a Horner scheme at values:
+    (...(s_1 x^g_1 + s_2) x^g_2 + ...) x^g_last, for cofactor values s."""
+    name, steps = scheme
+    if name is None:
+        return steps
+    x, acc = values[name], None
+    for sub, gap in steps:
+        value = _horner(sub, values)
+        acc = value if acc is None else acc + value
+        if gap:
+            acc = acc * (x if gap == 1 else x ** gap)
+    return acc
+
+
 def _trusted(terms):
     """An MPoly on terms, which must map canonical monomials to nonzero
     coefficients; it is taken over, not copied."""
@@ -45,7 +80,8 @@ def _trusted(terms):
 
 
 class MPoly:
-    __slots__ = ("terms",)
+    # _scheme is filled by the first substitute; terms never change after.
+    __slots__ = ("terms", "_scheme")
 
     def __init__(self, terms=None):
         clean = {}
@@ -118,14 +154,26 @@ class MPoly:
         return power(self, n, MPoly.const(1))
 
     def substitute(self, values: dict):
-        """Evaluate with each named variable replaced by values[name]."""
-        total = 0
-        for mono, c in self.terms.items():
-            term = c
-            for name, e in mono:
-                term = term * values[name] ** e
-            total = total + term
-        return total
+        """Evaluate with each named variable replaced by values[name]; the
+        zero form gives 0.
+
+        The value is formed by a multivariate Horner scheme (Pena and
+        Sauer, SIAM J. Numer. Anal. 37, 2000), built once per form from its
+        terms and kept with it: the variable of highest degree is
+        outermost, ties go by name, and the terms are grouped by their
+        power of it, so no term forms a power of its own.  For the norm
+        form in q0, q1, q2, a the order is q0, q1, q2, a.
+        """
+        try:
+            scheme = self._scheme
+        except AttributeError:
+            degree = {}
+            for mono in self.terms:
+                for name, e in mono:
+                    degree[name] = max(degree.get(name, 0), e)
+            order = sorted(degree, key=lambda name: (-degree[name], name))
+            scheme = self._scheme = _horner_scheme(self.terms, order)
+        return _horner(scheme, values)
 
     def degree(self) -> int:
         if not self.terms:

@@ -10,12 +10,15 @@ as data: TRACE = 3 q0 + 2a q2, and NORM, a cubic of eight terms.  Further
 T and N are the trace and norm of multiplication by P(x) = q0 + q1 d +
 q2 d^2 on the rank-3 extension S2 = S[d]/(d^3 - a d - 2); this module
 evaluates TRACE and NORM on each host and proves the two identifications
-symbolically against the same data.  Three hosts are supported: R = Z[a]
-(trace, norm, congruence and linearization checks), S = R[1/D] (exact unit
-arithmetic), and the completed ring of 2-adically truncated series (log
-evaluation at stated precision).  On each, Q-values go through the Q0
-coefficient of `push_poly` (`q_triple_R`); P is a ring homomorphism, so on
-S, P(f / D^n) is the Q-triple of f times P(D)^(-n), which is how Q_i reach
+symbolically against the same data.  `MPoly.substitute` evaluates both by a
+Horner scheme kept with the form, outermost q0, then q1, q2 and a: on R one
+norm makes 14 products in Z[a], where a product per term made 21.  Three
+hosts are supported: R = Z[a] (trace, norm, congruence and linearization
+checks), S = R[1/D] (exact unit arithmetic), and the completed ring of
+2-adically truncated series (log evaluation at stated precision).  On each,
+Q-values go through the Q0 coefficient of `push_poly` (`q_triple_R`), one
+dense sum over the coefficients of x; P is a ring homomorphism, so on S,
+P(f / D^n) is the Q-triple of f times P(D)^(-n), which is how Q_i reach
 denominators.
 """
 

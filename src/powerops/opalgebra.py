@@ -37,7 +37,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from .poly import (Poly, A, ONE, ZERO, format_terms, summands, _trusted,
-                   _merge, _kron_pack, _kron_unpack)
+                   _merge, _trim, _kron_pack, _kron_unpack)
 
 __all__ = ["Operation", "normal_form", "psi", "COMMUTATION", "RELATIONS",
            "CARTAN", "basis_of_degree",
@@ -333,12 +333,19 @@ def push_through(i: int, k: int):
 
 
 def _pushed(i: int, p: Poly, j: int) -> Poly:
-    """c_j of Q_i * p(a) = c0*Q0 + c1*Q1 + c2*Q2, alone (p a Poly)."""
-    out = ZERO
-    for k, coeff in enumerate(p.coeffs):
+    """c_j of Q_i * p(a) = c0*Q0 + c1*Q1 + c2*Q2, alone (p a Poly): the
+    sum of p_k times c_j of Q_i a^k, in one int list trimmed once."""
+    coeffs = p.coeffs
+    if not coeffs:
+        return ZERO
+    push_through(i, len(coeffs) - 1)  # fills _PUSHED_ROWS that far
+    # COMMUTATION's entries have degree <= 2, so c_j of Q_i a^k has <= 2k
+    out = [0] * (2 * len(coeffs) - 1)
+    for coeff, row in zip(coeffs, _PUSHED_ROWS):
         if coeff:
-            out = out + coeff * push_through(i, k)[j]
-    return out
+            for t, r in enumerate(row[i][j].coeffs):
+                out[t] += coeff * r
+    return _trusted(_trim(out))
 
 
 def push_poly(i: int, p: Poly):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from powerops.opalgebra import (Operation, normal_form, psi, CARTAN,
                                 basis_of_degree, push_through, push_poly,
                                 parse_terms, check_confluence, GAMMA_RANKS,
-                                _word_table_to_operation)
-from powerops.poly import Poly, A, ONE
+                                _word_table_to_operation, _pushed)
+from powerops.poly import Poly, A, ONE, ZERO
 from powerops.tower import S2Elem
 
 
@@ -169,6 +169,34 @@ class TestScalarPushing:
             for j in range(3):
                 expected[j] = expected[j] + coeff * t[j]
         assert tuple(expected) == c
+
+
+def per_term_pushed(i, p, j):
+    """c_j of Q_i * p(a) as `_pushed` formed it before its one dense loop:
+    a Poly per term, added to a running Poly.  Kept as the oracle."""
+    out = ZERO
+    for k, coeff in enumerate(p.coeffs):
+        if coeff:
+            out = out + coeff * push_through(i, k)[j]
+    return out
+
+
+def test_pushed_matches_the_per_term_loop():
+    rng = random.Random(32)
+    polys = [ZERO, ONE, Poly(-7), A ** 40, A ** 17 - 3 * A ** 2]
+    for degree in range(41):
+        polys.append(Poly([rng.randint(-99, 99) for _ in range(degree)]
+                          + [rng.choice([-1, 1]) * rng.randint(1, 99)]))
+        # sparse: most coefficients zero
+        polys.append(Poly([rng.choice([0, 0, 0, rng.randint(-5, 5)])
+                           for _ in range(degree)] + [1]))
+    polys.append(Poly([1 << 200, 0, -(1 << 150)]))
+    for p in polys:
+        for i in range(3):
+            for j in range(3):
+                got = _pushed(i, p, j)
+                assert type(got) is Poly
+                assert got.coeffs == per_term_pushed(i, p, j).coeffs
 
 
 class TestParsing:

@@ -4,8 +4,11 @@ The naive rewriter of `check_confluence` checks the packed straightening
 engine, `WitnessModel` checks the packed amplified ring, the contracting
 iteration in `tests/test_curve.py` checks the Newton step of
 `curve.curve_v_series`, the old route to M in `tests/test_normlog.py`
-checks `NormContext.m_value`, and the dense loops of `poly` over the
-hand-folded `S2Elem.__mul__` check the packed S2 series kernel of `tower`.
+checks `NormContext.m_value`, the dense loops of `poly` over the
+hand-folded `S2Elem.__mul__` check the packed S2 series kernel of `tower`,
+the term-by-term `naive_substitute` in `tests/test_mpoly.py` checks the
+Horner scheme of `MPoly.substitute`, and the per-term `per_term_pushed` in
+`tests/test_opalgebra.py` checks the dense loop of `opalgebra._pushed`.
 The two packed engines share `poly`'s Kronecker codec, so no oracle may
 name it.  A helper that an oracle and its engine both called would agree
 with itself, so these tests read, with `ast`, the names each oracle's
@@ -29,6 +32,8 @@ PACKED_AMPLIFIED = {"_products", "_sum", "_cartan", "_CARTAN", "_packed",
 S2_KERNEL = ("_s2_split", "_s2_pack", "_s2_numerator", "_s2_accumulate",
              "_s2_product", "_s2_reciprocal", "_s2_times")
 DENSE_LOOPS = ("_dense_mul", "_series_reciprocal")
+HORNER = {"substitute", "_horner", "_horner_scheme", "_scheme"}
+PUSHED = {"_pushed", "_PUSHED_ROWS", "_trim", "_trusted"}
 
 
 def top_level(source):
@@ -76,6 +81,20 @@ def test_mpoly_imports_only_from_poly():
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             sources.add("." * node.level + (node.module or ""))
     assert sources == {".poly"}
+
+
+def test_term_loop_names_no_horner_helper():
+    source = (Path(__file__).resolve().parent / "test_mpoly.py").read_text()
+    used = used_names([top_level(source)["naive_substitute"]])
+    assert "terms" in used
+    assert not used & (HORNER | set(top_level(inspect.getsource(mpoly))))
+
+
+def test_per_term_push_names_no_dense_loop_helper():
+    source = (Path(__file__).resolve().parent / "test_opalgebra.py").read_text()
+    used = used_names([top_level(source)["per_term_pushed"]])
+    assert "push_through" in used
+    assert not used & PUSHED
 
 
 def test_witness_model_names_no_packed_helper():
