@@ -20,19 +20,21 @@ blocks are matrices over Z[a]; homology is read off after base change to a
 principal ideal domain (Q[a], F2[a], or Z when a block is constant).
 
 The columns of d0 are the images of the basis vectors of M under every
-admissible word, one walk (`opmodules._basis_images`) per basis vector.
+admissible word, one walk (`opmodules._basis_images`) per basis vector;
+d0 is formed only when it is read, as the check d0 d1 = 0 does.
 Each column of d1 and d2 is listed as a sum of products of a monomial, a
 coefficient and letters, which the straightening engine accumulates on its
 packed Z[a] (`opalgebra._placed_sum`) and unpacks once per nonzero
 entry; the matrices themselves are dense `Matrix` objects of `Poly`.
 
-Homology takes one route.  Once d1 d2 = 0 is checked exactly, each map is
-eliminated over Z[a] itself on constant +-1 pivots
-(`linalg.unit_pivot_elimination`), which stay units over every one of
-those rings, and the Smith form over the chosen ring runs only on the
-remainder the elimination returns.  Every cap through degree 7 of R,
-omega, omega^2 and the two-sphere leaves no remainder, so no Smith form
-runs there; the Tor complex of omega leaves the 1 x 1 remainder [2].
+Homology takes one route.  Once d1 d2 = 0 is checked exactly, on
+Kronecker-packed ints (`_composes_to_zero`), each map is eliminated over
+Z[a] itself on constant +-1 pivots (`linalg.unit_pivot_elimination`),
+which stay units over every one of those rings, and the Smith form over
+the chosen ring runs only on the remainder the elimination returns.
+Every cap through degree 7 of R, omega, omega^2 and the two-sphere leaves
+no remainder, so no Smith form runs there; the Tor complex of omega
+leaves the 1 x 1 remainder [2].
 The identification of K2 reads ranks and invariant factors the same way;
 nothing here forms a transform or a kernel basis.
 
@@ -44,13 +46,16 @@ leading g x 3g block of d1 and 3g x 2g block of d2, g the rank of M.
 
 from __future__ import annotations
 
-from .poly import ZERO, ONE, A
+from functools import cached_property
+from operator import attrgetter
+
+from .poly import ZERO, ONE, A, _kron_pack
 from .opalgebra import (Operation, RELATIONS, GAMMA_RANKS, basis_of_degree,
                         push_poly, _straighten, _placed_sum)
 from .opmodules import (ModulePresentation, omega_power, _basis_images,
                         check_well_defined)
 from .linalg import (Matrix, ZZ, QA, F2A, ring_by_name, smith_normal_form,
-                     mat_mul, unit_pivot_elimination)
+                     unit_pivot_elimination)
 
 __all__ = ["RELATIONS", "k1_right_a_matrix", "TruncatedComplex",
            "build_complex", "acyclicity_check", "tor_reduced",
@@ -87,9 +92,51 @@ def _block(mat: Matrix, m: int, n: int) -> Matrix:
     return Matrix(m, n, [row[:n] for row in mat.rows[:m]])
 
 
+_COEFFS = attrgetter("coeffs")
+
+
+def _l1(coeffs) -> int:
+    """The L1 norm of a coefficient tuple."""
+    return sum(map(abs, coeffs))
+
+
 def _composes_to_zero(a: Matrix, b: Matrix) -> bool:
-    """Whether a b = 0 exactly, for matrices over Z[a]."""
-    return not any(any(row) for row in mat_mul(ZZ, a, b).rows)
+    """Whether a b = 0 exactly, for matrices over Z[a], on packed ints; no
+    product matrix is formed.
+
+    Entry (i, j) of a b is the sum over t of a[i][t] b[t][j], so its L1
+    norm is at most top_a * top_b: top_a the largest L1 sum of a row of a,
+    top_b the largest L1 norm of an entry in a row of b that a nonzero of
+    a reaches.  At bits = (top_a * top_b).bit_length() + 1 that norm has
+    fewer than bits bits, so by the fit rule of `poly._kron_unpack` the
+    entry's packed value (a -> 2^bits, a ring map, so the sums are exact)
+    is 0 exactly when the entry is 0.  A row of b is packed when a nonzero
+    of a first reaches it, and the first nonzero row of sums answers.
+    """
+    if a.n != b.m:
+        raise ValueError("inner dimensions differ: %d vs %d" % (a.n, b.m))
+    a_rows = [[(t, c) for t, c in enumerate(map(_COEFFS, row)) if c]
+              for row in a.rows]
+    top_a = max((sum(_l1(c) for _, c in row) for row in a_rows), default=0)
+    reached = {t for row in a_rows for t, _ in row}
+    top_b = max((_l1(c) for t in reached
+                 for c in filter(None, map(_COEFFS, b.rows[t]))), default=0)
+    bits = (top_a * top_b).bit_length() + 1
+    b_rows = {}
+    for row in a_rows:
+        acc = {}
+        for t, c in row:
+            brow = b_rows.get(t)
+            if brow is None:
+                brow = b_rows[t] = [
+                    (j, _kron_pack(y, bits))
+                    for j, y in enumerate(map(_COEFFS, b.rows[t])) if y]
+            x = _kron_pack(c, bits)
+            for j, y in brow:
+                acc[j] = acc.get(j, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 class TruncatedComplex:
@@ -119,7 +166,6 @@ class TruncatedComplex:
         self._p0_index = {b: n for n, b in enumerate(self.p0_basis)}
         self._p1_index = {b: n for n, b in enumerate(self.p1_basis)}
 
-        self.d0 = self._build_d0()
         self.d1 = self._build_d1()
         self.d2 = self._build_d2()
 
@@ -140,6 +186,11 @@ class TruncatedComplex:
         return self._count(cap - 2, 2)
 
     # -- assembly -----------------------------------------------------------
+
+    @cached_property
+    def d0(self) -> Matrix:
+        """d0, built when first read: only `d_squared_checks` needs it."""
+        return self._build_d0()
 
     def _build_d0(self) -> Matrix:
         m = self.module
@@ -183,13 +234,12 @@ class TruncatedComplex:
     # -- access -------------------------------------------------------------
 
     def caps(self, cap: int):
-        """(d0, d1, d2) restricted to the degree-cap subcomplex."""
+        """(d1, d2) restricted to the degree-cap subcomplex."""
         if cap > self.k_max:
             raise ValueError("cap %d exceeds stored k_max %d"
                              % (cap, self.k_max))
         n0, n1, n2 = self.p0_size(cap), self.p1_size(cap), self.p2_size(cap)
-        return (_block(self.d0, self.d0.m, n0), _block(self.d1, n0, n1),
-                _block(self.d2, n1, n2))
+        return _block(self.d1, n0, n1), _block(self.d2, n1, n2)
 
     def d_squared_checks(self):
         """Exact d0 d1 = 0 and d1 d2 = 0 over Z[a] for the full matrices."""
@@ -255,7 +305,7 @@ def acyclicity_check(module: ModulePresentation, k_max: int,
     caps_report = {}
     ok = True
     for cap in range(1, k_max + 1):
-        _, d1, d2 = cx.caps(cap)
+        d1, d2 = cx.caps(cap)
         h0, h1, h2 = _homology_triple(ring, d1, d2)
         cap_ok = (h1 == (0, []) and h2 == (0, []) and h0 == (g, []))
         ok = ok and cap_ok
@@ -275,7 +325,7 @@ def truncation_stability_check(module: ModulePresentation, caps,
     _require_complex(cx.d1, cx.d2)
     seen = []
     for cap in caps:
-        _, d1, d2 = cx.caps(cap)
+        d1, d2 = cx.caps(cap)
         seen.append(_homology_triple(ring, d1, d2)[1:])
     stable = all(s == seen[0] for s in seen)
     return {"caps": list(caps), "values": [

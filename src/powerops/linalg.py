@@ -191,7 +191,8 @@ def mat_mul(ring, a: Matrix, b: Matrix) -> Matrix:
     into row i, over the nonzero entries of that row only, which are
     collected when a nonzero of a first reaches row t; a row of b that no
     nonzero of a reaches is never read.  Every entry type (int,
-    coefficient tuple, Poly) is falsy exactly at zero."""
+    coefficient tuple, Poly) is falsy exactly at zero.  This is the
+    generic product under `homology_triple`."""
     if a.n != b.m:
         raise ValueError("inner dimensions differ: %d vs %d" % (a.n, b.m))
     add, mul = ring.add, ring.mul

@@ -56,18 +56,25 @@ def _horner_scheme(terms, order):
                   for e, after in zip(exps, exps[1:] + [0])]
 
 
-def _horner(scheme, values):
+def _horner(scheme, values, powers):
     """The value of a Horner scheme at values:
-    (...(s_1 x^g_1 + s_2) x^g_2 + ...) x^g_last, for cofactor values s."""
+    (...(s_1 x^g_1 + s_2) x^g_2 + ...) x^g_last, for cofactor values s.
+    powers holds each x^g with g >= 2 by (name, g), formed once for every
+    cofactor group of one evaluation."""
     name, steps = scheme
     if name is None:
         return steps
     x, acc = values[name], None
     for sub, gap in steps:
-        value = _horner(sub, values)
+        value = _horner(sub, values, powers)
         acc = value if acc is None else acc + value
-        if gap:
-            acc = acc * (x if gap == 1 else x ** gap)
+        if gap == 1:
+            acc = acc * x
+        elif gap:
+            xg = powers.get((name, gap))
+            if xg is None:
+                xg = powers[name, gap] = x ** gap
+            acc = acc * xg
     return acc
 
 
@@ -173,7 +180,7 @@ class MPoly:
                     degree[name] = max(degree.get(name, 0), e)
             order = sorted(degree, key=lambda name: (-degree[name], name))
             scheme = self._scheme = _horner_scheme(self.terms, order)
-        return _horner(scheme, values)
+        return _horner(scheme, values, {})
 
     def degree(self) -> int:
         if not self.terms:

@@ -19,10 +19,10 @@ from sympy import GF, QQ, Matrix as SMatrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
-from powerops.poly import Poly, A
+from powerops.poly import Poly, A, _kron_pack
 from powerops.opalgebra import Operation, basis_of_degree
 from powerops import koszul
-from powerops.linalg import (Matrix, ring_by_name, homology,
+from powerops.linalg import (Matrix, ZZ, ring_by_name, homology, mat_mul,
                              unit_pivot_elimination)
 from powerops.cli import main as cli_main
 from powerops.opmodules import (ModulePresentation, standard_module, omega,
@@ -207,11 +207,25 @@ class TestTruncatedComplex:
         cx = build_complex(tensor(omega(), omega()), 3)
         assert cx.d_squared_checks() == (True, True)
 
+    def test_d0_is_built_only_where_it_is_read(self, monkeypatch):
+        builds = []
+        real = koszul.TruncatedComplex._build_d0
+
+        def counted(cx):
+            builds.append(cx.k_max)
+            return real(cx)
+        monkeypatch.setattr(koszul.TruncatedComplex, "_build_d0", counted)
+        assert acyclicity_check(omega(), 3, "q")["ok"]
+        tor_gamma_mod_I(1)
+        assert builds == []
+        assert build_complex(omega(), 4).d_squared_checks() == (True, True)
+        assert builds == [4]
+
     def test_degree_one_block_for_omega(self):
         # gamma = 1: q_i (x) u maps to 1 (x) Q_i u - Q_i (x) u with
         # Q0 u = Q2 u = 0 and Q1 u = -u
         cx = build_complex(omega(), 1)
-        _, d1, _ = cx.caps(1)
+        d1, _ = cx.caps(1)
         cols = [[str(d1.rows[r][c]) for r in range(d1.m)] for c in range(3)]
         assert cols[0] == ["0", "-1", "0", "0"]
         assert cols[1] == ["-1", "0", "-1", "0"]
@@ -239,6 +253,132 @@ class TestTruncatedComplex:
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             build_complex(standard_module(), -1)
+
+
+def _rand_poly(rng, bits, degree):
+    """A random element of Z[a] of degree <= degree, coefficients below
+    2^bits in absolute value, zero one time in three."""
+    if rng.random() < 1 / 3:
+        return Poly()
+    return Poly([rng.randint(-(1 << bits), 1 << bits)
+                 for _ in range(rng.randint(1, degree + 1))])
+
+
+def _rand_matrix(rng, m, n, bits, degree):
+    return Matrix(m, n, [[_rand_poly(rng, bits, degree) for _ in range(n)]
+                         for _ in range(m)])
+
+
+def _product(x: Matrix, y: Matrix) -> Matrix:
+    """x y by `linalg.mat_mul`, whose untouched entries are the int 0."""
+    prod = mat_mul(ZZ, x, y)
+    return Matrix(prod.m, prod.n, [[Poly(e) for e in row]
+                                   for row in prod.rows])
+
+
+def _vanishes(a, b):
+    """The oracle: a b = 0 by the generic product of `linalg`."""
+    return not any(any(row) for row in _product(a, b).rows)
+
+
+def _cancelling_pair(rng, m, r, s, p):
+    """(a, b) with a b = 0 and neither zero: a = [A1 | A1 C] and
+    b = [C Y; -Y], with the inner index shuffled.  The factors have 20-bit
+    coefficients and degree <= 10, so a b sums terms of about 60 bits and
+    degree 30 that cancel."""
+    a1 = _rand_matrix(rng, m, r, 20, 10)
+    c = _rand_matrix(rng, r, s, 20, 10)
+    y = _rand_matrix(rng, s, p, 20, 10)
+    a = [ra + rc for ra, rc in zip(a1.rows, _product(a1, c).rows)]
+    b = _product(c, y).rows + [[-e for e in row] for row in y.rows]
+    order = list(range(r + s))
+    rng.shuffle(order)
+    return (Matrix(m, r + s, [[row[t] for t in order] for row in a]),
+            Matrix(r + s, p, [b[t] for t in order]))
+
+
+class TestPackedZeroCheck:
+    """`koszul._composes_to_zero` against the generic product of
+    `linalg.mat_mul`, which shares none of its packing."""
+
+    def test_random_pairs_agree_with_the_product(self):
+        rng = random.Random(3301)
+        for _ in range(40):
+            m, n, p = (rng.randint(1, 5) for _ in range(3))
+            a = _rand_matrix(rng, m, n, 60, 30)
+            b = _rand_matrix(rng, n, p, 60, 30)
+            assert koszul._composes_to_zero(a, b) == _vanishes(a, b)
+        for _ in range(40):  # small constants cancel now and then
+            m, n, p = (rng.randint(1, 4) for _ in range(3))
+            a = Matrix(m, n, [[Poly(rng.randint(-1, 1)) for _ in range(n)]
+                              for _ in range(m)])
+            b = Matrix(n, p, [[Poly(rng.randint(-1, 1)) for _ in range(p)]
+                              for _ in range(n)])
+            assert koszul._composes_to_zero(a, b) == _vanishes(a, b)
+
+    def test_cancelling_pairs_and_one_term_off(self):
+        rng = random.Random(3302)
+        for _ in range(12):
+            a, b = _cancelling_pair(rng, *(rng.randint(1, 4)
+                                          for _ in range(4)))
+            assert _vanishes(a, b)
+            assert koszul._composes_to_zero(a, b)
+            # one term c a^k more in a row of b that a reaches
+            reached = [t for t in range(a.n) if any(r[t] for r in a.rows)]
+            if not reached:
+                continue
+            t, j = rng.choice(reached), rng.randrange(b.n)
+            term = Poly([0] * rng.randint(0, 30)
+                        + [rng.choice([-1, 1]) * rng.getrandbits(60) | 1])
+            rows = [list(row) for row in b.rows]
+            rows[t][j] = rows[t][j] + term
+            off = Matrix(b.m, b.n, rows)
+            assert not _vanishes(a, off)
+            assert not koszul._composes_to_zero(a, off)
+
+    def test_width_below_the_bound_would_read_zero(self):
+        # each product has the single entry (a - 2^w) q, which packs to 0
+        # at width w; the chosen width must lie above it
+        one = Poly(1)
+        for w in range(2, 70):
+            root = Poly([-(1 << w), 1])
+            q = Poly([3, -1, 2]) if w % 2 else one
+            quarter = Poly(-(1 << (w - 2)))
+            cases = [
+                (Matrix(1, 1, [[root * q]]), Matrix(1, 1, [[one]])),
+                (Matrix(1, 1, [[q]]), Matrix(1, 1, [[root]])),
+                (Matrix(1, 5, [[quarter] * 4 + [A]]),
+                 Matrix(5, 1, [[q]] * 5)),
+                (Matrix(1, 5, [[q] * 5]),
+                 Matrix(5, 1, [[quarter]] * 4 + [[A]])),
+            ]
+            for a, b in cases:
+                entry = _product(a, b).rows[0][0]
+                assert entry == root * q
+                assert _kron_pack(entry.coeffs, w) == 0
+                assert not koszul._composes_to_zero(a, b)
+
+    def test_zero_and_unreached_blocks(self):
+        rng = random.Random(3303)
+        b = _rand_matrix(rng, 3, 2, 60, 30)
+        zero_a = Matrix(2, 3, [[Poly()] * 3 for _ in range(2)])
+        assert koszul._composes_to_zero(zero_a, b)
+        zero_b = Matrix(3, 2, [[Poly()] * 2 for _ in range(3)])
+        assert koszul._composes_to_zero(_rand_matrix(rng, 2, 3, 60, 30),
+                                        zero_b)
+        assert koszul._composes_to_zero(Matrix(0, 3, []), b)
+        assert koszul._composes_to_zero(
+            Matrix(2, 0, [[], []]), Matrix(0, 4, []))
+        # a reaches rows 0 and 2 of b only, and those are zero
+        a = Matrix(2, 3, [[Poly(5), Poly(), A], [Poly(), Poly(), Poly(-1)]])
+        b = Matrix(3, 2, [[Poly(), Poly()], [A, Poly(7)], [Poly(), Poly()]])
+        assert _vanishes(a, b) and koszul._composes_to_zero(a, b)
+
+    def test_inner_dimension_mismatch(self):
+        a = Matrix(1, 2, [[Poly(1), Poly(2)]])
+        b = Matrix(1, 1, [[Poly(1)]])
+        with pytest.raises(ValueError, match="inner dimensions differ"):
+            koszul._composes_to_zero(a, b)
 
 
 class TestAcyclicity:
@@ -284,7 +424,7 @@ class TestCertificate:
     def test_certified_triple_matches_smith_oracle(self, name):
         cx = build_complex(_CERT_MODULES[name](), 4)
         for cap in range(1, 5):
-            _, d1, d2 = cx.caps(cap)
+            d1, d2 = cx.caps(cap)
             # both maps clear on unit pivots, so no Smith form runs
             assert unit_pivot_elimination(d1)[1].m == 0
             assert unit_pivot_elimination(d2)[1].m == 0

@@ -216,11 +216,14 @@ class TestBasisWalk:
                     assert apply_q(m, i, v) == tuple(want)
 
     def test_d0_walks_once_per_basis_vector(self, monkeypatch):
+        # d0 is built when first read, so the count is taken around that
+        # read on a fresh complex
         cx = build_complex(omega(), 5)
         counter = _CountingApplyQ(monkeypatch)
-        assert cx._build_d0() == cx.d0
+        d0 = cx.d0
         # one call per admissible key of degree 1..5: 3 + 7 + 15 + 31 + 63
         assert counter.calls == 119
+        assert cx.d0 is d0 and counter.calls == 119
 
     def test_continuity_walks_once_per_input(self, monkeypatch):
         counter = _CountingApplyQ(monkeypatch)
